@@ -37,7 +37,6 @@ from .inverse import (
     pm_mcmc,
     plugin_delta_scan,
     pn_loglik,
-    rw_metropolis,
 )
 from .kernels import (
     GreensKernel1D,

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -228,19 +227,6 @@ def _validate(experiment: str, cfg: dict) -> None:
             raise ConfigError("burn_in must be smaller than n_steps")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PMM_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"PMM_THREADS must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise ConfigError("PMM_THREADS must be at least 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def _make_kernel(cfg: dict, dim: int = 1):
     if cfg["kernel"] == "greens":
         if dim != 1:
@@ -280,7 +266,6 @@ def _write_manifest(out_dir: str, experiment: str, cfg: dict, files, wall: float
         "config": cfg,
         "version": __version__,
         "wall_time_s": wall,
-        "threads": _thread_count(),
         "metadata": METADATA_NOTES[experiment],
         "files": sorted(os.path.basename(f) for f in files),
     }
@@ -358,8 +343,7 @@ def run_inverse_1d(cfg: dict, out_dir: str) -> list:
         return pmm_dens, plug_dens
 
     with _stage("grid posteriors"):
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            results = list(pool.map(posteriors_for, cfg["m_list"]))
+        results = [posteriors_for(m) for m in cfg["m_list"]]
 
     files = []
     for name, idx in (("posterior_pmm.csv", 0), ("posterior_plugin.csv", 1)):
@@ -493,7 +477,6 @@ def main(argv=None) -> int:
             base_cfg = {k: str(v) if not isinstance(v, list) else ",".join(map(str, v))
                         for k, v in manifest["config"].items()}
         cfg = _parse_config(args.experiment, args.config, {**base_cfg, **overrides})
-        _thread_count()  # validate the environment cap before any computation
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

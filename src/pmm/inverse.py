@@ -11,8 +11,7 @@ solutions; a pseudo-marginal Metropolis chain accepts on that estimate.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -39,7 +38,6 @@ __all__ = [
     "UniformPrior",
     "HalfCauchyPrior",
     "LogUniformPrior",
-    "ChainState",
     "PMEstimate",
     "ChainResult",
     "plugin_loglik",
@@ -47,7 +45,6 @@ __all__ = [
     "grid_posterior",
     "grid_mean_std",
     "grid_mode",
-    "rw_metropolis",
     "CoarseSolutionCache",
     "ACInverseSetup",
     "importance_sample_z",
@@ -112,9 +109,6 @@ class UniformPrior:
         if self.lo < x < self.hi:
             return -np.log(self.hi - self.lo)
         return -np.inf
-
-    def sample(self, rng: RngStream) -> float:
-        return float(rng.generator().uniform(self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -212,39 +206,6 @@ def grid_mode(theta_grid, density) -> float:
 
 
 # ----------------------------------------------------------------------
-# random-walk Metropolis
-# ----------------------------------------------------------------------
-
-def rw_metropolis(logtarget, init, step_scales, n_steps: int, rng: RngStream):
-    """Gaussian-proposal Metropolis chain.
-
-    Returns the chain states after each of ``n_steps`` updates, shape
-    ``(n_steps, dim)``, together with the acceptance rate.
-    """
-    init = np.asarray(init, dtype=float).reshape(-1)
-    scales = np.asarray(step_scales, dtype=float).reshape(-1)
-    if scales.size == 1:
-        scales = np.full(init.size, scales[0])
-    if np.any(scales <= 0.0):
-        raise ValueError("step_scales must be positive")
-    current = init.copy()
-    lp = float(logtarget(current))
-    if not np.isfinite(lp):
-        raise ValueError("logtarget must be finite at init")
-    gen = rng.generator()
-    chain = np.empty((n_steps, init.size))
-    accepted = 0
-    for t in range(n_steps):
-        prop = current + scales * gen.standard_normal(init.size)
-        lp_prop = float(logtarget(prop))
-        if np.log(gen.uniform()) < lp_prop - lp:
-            current, lp = prop, lp_prop
-            accepted += 1
-        chain[t] = current
-    return chain, accepted / n_steps
-
-
-# ----------------------------------------------------------------------
 # coarse-solution cache for the nonlinear problem
 # ----------------------------------------------------------------------
 
@@ -254,8 +215,7 @@ class CoarseSolutionCache:
     Lookups snap to the nearest cell of the given resolution; a new cell
     is solved with continuation seeds from the nearest already-solved
     cell, which keeps thin-interface branches reachable near the lower
-    end of the parameter range. Insertion is protected by a lock so
-    concurrent chains can share one cache.
+    end of the parameter range.
     """
 
     def __init__(self, grid_n: int = 31, resolution: float = 0.002,
@@ -265,7 +225,6 @@ class CoarseSolutionCache:
         self.damping = damping
         self._rng_seed = seed
         self._store: dict[int, list[GridSolution]] = {}
-        self._lock = threading.Lock()
 
     def _cell(self, delta: float) -> int:
         return int(round(delta / self.resolution))
@@ -276,12 +235,10 @@ class CoarseSolutionCache:
 
     def solutions(self, delta: float) -> list:
         cell = self._cell(delta)
-        with self._lock:
-            hit = self._store.get(cell)
+        hit = self._store.get(cell)
         if hit is not None:
             return hit
-        with self._lock:
-            near = min(self._store, key=lambda c: abs(c - cell)) if self._store else None
+        near = min(self._store, key=lambda c: abs(c - cell)) if self._store else None
         # walk toward distant cells one at a time so every solve is seeded by
         # its immediate neighbour; thin-interface branches at small delta are
         # not reachable from cold starts or across larger jumps
@@ -292,18 +249,17 @@ class CoarseSolutionCache:
         return self._solve_cell(cell)
 
     def _solve_cell(self, cell: int) -> list:
-        with self._lock:
-            hit = self._store.get(cell)
-            if hit is not None:
-                return hit
-            near = min(self._store, key=lambda c: abs(c - cell)) if self._store else None
-            seeds = [s.u.ravel() for s in self._store[near]] if near is not None else []
+        hit = self._store.get(cell)
+        if hit is not None:
+            return hit
+        near = min(self._store, key=lambda c: abs(c - cell)) if self._store else None
+        seeds = [s.u.ravel() for s in self._store[near]] if near is not None else []
         sols = ac_deflated_solve(
             self.snapped(cell * self.resolution), self.grid_n,
             RngStream(self._rng_seed, cell), damping=self.damping, seeds=seeds,
         )
-        with self._lock:
-            return self._store.setdefault(cell, sols)
+        self._store[cell] = sols
+        return sols
 
 
 @dataclass(frozen=True)
@@ -333,17 +289,6 @@ class PMEstimate:
         if not np.any(np.isfinite(lw)):
             raise AllWeightsDegenerate("all importance weights underflowed")
         return cls(float(logsumexp(lw) - np.log(lw.size)), lw.size, lw)
-
-
-@dataclass
-class ChainState:
-    """Pseudo-marginal chain state: parameters, solution index, and the
-    retained likelihood estimate (never recomputed while retained)."""
-
-    theta: np.ndarray
-    j: int
-    loglik_estimate: float
-    aux_seed: int
 
 
 def _draw_latents(zbar, cov, m: int, rng: RngStream, cov_scale: float = 1.0, xi=None):
@@ -456,11 +401,6 @@ class ChainResult:
                    self.log_estimate[t], int(self.accepted[t]))
 
 
-def _chain_arrays(n_steps):
-    return (np.empty(n_steps), np.empty(n_steps), np.empty(n_steps, dtype=int),
-            np.empty(n_steps), np.zeros(n_steps, dtype=bool))
-
-
 def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel, grid) -> float:
     """Cheap pilot: the grid value whose best coarse branch fits the data best.
 
@@ -476,18 +416,82 @@ def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel, grid) -> floa
     return best
 
 
+J_REPROPOSAL = 0.2  # probability that a step also redraws the solution index
+
+
+def _mh_chain(log_prior, loglik, n_found, theta, j, step_scales, n_steps, gen,
+              noise_shape=(0,), noise_correlation=0.0):
+    """Metropolis-Hastings over (theta, j) that keeps the retained likelihood.
+
+    The walk is Gaussian in ``theta`` with per-coordinate ``step_scales``;
+    with probability ``J_REPROPOSAL`` a step also redraws the solution index
+    uniformly over the ``n_found(theta)`` solutions at the proposal, with
+    the matching Hastings correction. The prior of j given theta is uniform
+    over those solutions, so ``log_prior`` covers theta alone.
+
+    ``loglik(theta, j, xi)`` may be a noisy estimate: a retained state keeps
+    its value and is never re-evaluated, which is what makes a
+    pseudo-marginal chain target the exact posterior. ``xi`` is the
+    standard-normal batch of shape ``noise_shape`` behind the estimate; it
+    is part of the state and is refreshed by a Crank-Nicolson move with
+    ``noise_correlation``. A deterministic likelihood passes an empty batch.
+
+    Returns the retained theta, j and log-likelihood after each step, the
+    per-step acceptance flags and the number of likelihood evaluations.
+    """
+    theta = np.asarray(theta, dtype=float)
+    scales = np.asarray(step_scales, dtype=float)
+    n_cur = n_found(theta)
+    if not 1 <= j <= n_cur:
+        raise SolutionIndexOutOfRange(f"initial j={j}, {n_cur} solutions found")
+    xi = gen.standard_normal(noise_shape)
+    ll_cur = loglik(theta, j, xi)
+    lp_cur = log_prior(theta) - np.log(n_cur)
+    calls = 1
+    rho = noise_correlation
+
+    thetas = np.empty((n_steps, theta.size))
+    js = np.empty(n_steps, dtype=int)
+    lls = np.empty(n_steps)
+    accepted = np.zeros(n_steps, dtype=bool)
+    for t in range(n_steps):
+        theta_prop = theta + scales * gen.standard_normal(theta.size)
+        redraw = gen.uniform() < J_REPROPOSAL
+        lp_prop = log_prior(theta_prop)
+        if np.isfinite(lp_prop):
+            n_prop = n_found(theta_prop)
+            j_prop = int(gen.integers(1, n_prop + 1)) if redraw else j
+            if j_prop <= n_prop:
+                eps = gen.standard_normal(noise_shape)
+                xi_prop = rho * xi + np.sqrt(1.0 - rho**2) * eps
+                ll_prop = loglik(theta_prop, j_prop, xi_prop)
+                calls += 1
+                lp_prop -= np.log(n_prop)
+                # Hastings correction for the index mixture proposal
+                q_fwd = (1.0 - J_REPROPOSAL) * (j_prop == j) + J_REPROPOSAL / n_prop
+                q_rev = (1.0 - J_REPROPOSAL) * (j_prop == j) + J_REPROPOSAL / n_cur
+                log_alpha = (ll_prop + lp_prop - ll_cur - lp_cur
+                             + np.log(q_rev) - np.log(q_fwd))
+                if np.log(gen.uniform()) < log_alpha:
+                    theta, j, xi, n_cur = theta_prop, j_prop, xi_prop, n_prop
+                    ll_cur, lp_cur = ll_prop, lp_prop
+                    accepted[t] = True
+        thetas[t] = theta
+        js[t] = j
+        lls[t] = ll_cur
+    return thetas, js, lls, accepted, calls
+
+
 def pm_mcmc(y, delta_prior: UniformPrior, ell_prior, m_particles: int, n_steps: int,
-            rng: RngStream, *, setup: ACInverseSetup, noise: NoiseModel,
-            step_scales=(0.003, 0.08), init=None, j_reproposal: float = 0.2,
-            noise_correlation: float = 0.99, estimator=None) -> ChainResult:
+            rng: RngStream, *, setup: ACInverseSetup, noise: NoiseModel, init,
+            step_scales=(0.003, 0.08), noise_correlation: float = 0.99,
+            estimator=None) -> ChainResult:
     """Pseudo-marginal Metropolis over (delta, log lengthscale, j).
 
-    The walk is Gaussian in (delta, log ell); with probability
-    ``j_reproposal`` a step also redraws the solution index uniformly over
-    the solutions found at the proposed delta, with the matching Hastings
-    correction. Accepted states keep their likelihood estimate for as
-    long as they are retained, which is what makes the chain target the
-    exact posterior despite the noisy likelihood.
+    ``init`` is the starting (delta, ell, j). The chain is ``_mh_chain``
+    with theta = (delta, log ell) and the importance-sampled likelihood
+    estimate of ``pm_loglik``; ``estimator(delta, ell, j, xi)`` replaces
+    that estimate when given.
 
     The standard-normal batch behind the estimate is part of the chain
     state and is refreshed through a Crank-Nicolson move with correlation
@@ -501,115 +505,49 @@ def pm_mcmc(y, delta_prior: UniformPrior, ell_prior, m_particles: int, n_steps: 
     y = np.asarray(y, dtype=float).reshape(-1)
     if not 0.0 <= noise_correlation < 1.0:
         raise ValueError("noise_correlation must lie in [0, 1)")
-    gen = rng.generator()
-    m_latent = len(setup.design.interior_points)
-    calls = 0
 
     if estimator is None:
         def estimator(delta, ell, j, xi):
             return pm_loglik(y, delta, ell, j, m_particles, noise, rng,
                              setup=setup, xi=xi)
 
-    def n_found(delta):
-        return len(setup.cache.solutions(delta))
+    def log_prior(theta):
+        delta, lam = theta
+        # half-Cauchy density of ell with the log-scale Jacobian
+        return delta_prior.logpdf(delta) + (ell_prior.logpdf(np.exp(lam)) + lam)
 
-    def log_prior(delta, lam, j, n_sols):
-        lp = delta_prior.logpdf(delta)
-        ell = np.exp(lam)
-        lp += ell_prior.logpdf(ell) + lam  # half-Cauchy density with log-scale Jacobian
-        lp -= np.log(n_sols)
-        return lp
-
-    if init is None:
-        init = (delta_prior.sample(rng.substream(rng.stream_id + 101)), 0.3, 1)
-    delta, lam, j = float(init[0]), float(np.log(init[1])), int(init[2])
-    n_cur = n_found(delta)
-    if not 1 <= j <= n_cur:
-        raise SolutionIndexOutOfRange(f"initial j={j}, {n_cur} solutions found")
-    xi = gen.standard_normal((m_particles, m_latent))
-    est = estimator(delta, np.exp(lam), j, xi)
-    calls += 1
-    state = ChainState(np.array([delta, np.exp(lam)]), j, est.log_estimate, rng.stream_id)
-    lp_cur = log_prior(delta, lam, j, n_cur)
-
-    sd, sl = step_scales
-    rho = noise_correlation
-    d_arr, e_arr, j_arr, l_arr, a_arr = _chain_arrays(n_steps)
-    accepted = 0
-    for t in range(n_steps):
-        d_prop = state.theta[0] + sd * gen.standard_normal()
-        lam_prop = np.log(state.theta[1]) + sl * gen.standard_normal()
-        redraw = gen.uniform() < j_reproposal
-        if delta_prior.lo < d_prop < delta_prior.hi:
-            n_prop = n_found(d_prop)
-            j_prop = int(gen.integers(1, n_prop + 1)) if redraw else state.j
-            if j_prop <= n_prop:
-                eps = gen.standard_normal((m_particles, m_latent))
-                xi_prop = rho * xi + np.sqrt(1.0 - rho**2) * eps
-                est_prop = estimator(d_prop, float(np.exp(lam_prop)), j_prop, xi_prop)
-                calls += 1
-                lp_prop = log_prior(d_prop, lam_prop, j_prop, n_prop)
-                # Hastings correction for the index mixture proposal
-                q_fwd = (1.0 - j_reproposal) * (j_prop == state.j) + j_reproposal / n_prop
-                q_rev = (1.0 - j_reproposal) * (j_prop == state.j) + j_reproposal / n_found(state.theta[0])
-                log_alpha = (est_prop.log_estimate + lp_prop
-                             - state.loglik_estimate - lp_cur
-                             + np.log(q_rev) - np.log(q_fwd))
-                if np.log(gen.uniform()) < log_alpha:
-                    state = ChainState(np.array([d_prop, float(np.exp(lam_prop))]),
-                                       j_prop, est_prop.log_estimate, rng.stream_id)
-                    lp_cur = lp_prop
-                    xi = xi_prop
-                    accepted += 1
-                    a_arr[t] = True
-        d_arr[t], e_arr[t] = state.theta
-        j_arr[t] = state.j
-        l_arr[t] = state.loglik_estimate
-    return ChainResult(d_arr, e_arr, j_arr, l_arr, a_arr, accepted / n_steps, calls)
+    thetas, js, lls, accepted, calls = _mh_chain(
+        log_prior,
+        lambda theta, j, xi: estimator(theta[0], float(np.exp(theta[1])), j, xi).log_estimate,
+        lambda theta: len(setup.cache.solutions(theta[0])),
+        (float(init[0]), float(np.log(init[1]))), int(init[2]), step_scales, n_steps,
+        rng.generator(), (m_particles, len(setup.design.interior_points)), noise_correlation,
+    )
+    return ChainResult(thetas[:, 0], np.exp(thetas[:, 1]), js, lls, accepted,
+                       accepted.mean(), calls)
 
 
 def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *,
-                   setup: ACInverseSetup, noise: NoiseModel, step_scale: float = 0.008,
-                   init=None, j_reproposal: float = 0.2) -> ChainResult:
+                   setup: ACInverseSetup, noise: NoiseModel, init,
+                   step_scale: float = 0.008) -> ChainResult:
     """Baseline Metropolis over (delta, j) with the coarse solver plugged in.
 
-    The likelihood evaluates the coarse solution itself at the data
-    locations with no discretisation-error term, so the resulting
-    posterior reflects only the observation noise.
+    ``init`` is the starting (delta, j). The likelihood evaluates the
+    coarse solution itself at the data locations with no
+    discretisation-error term, so the resulting posterior reflects only
+    the observation noise. The chain is ``_mh_chain`` with theta = (delta,)
+    and this deterministic likelihood; the ell column is NaN.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    gen = rng.generator()
 
-    def loglik(delta, j):
-        sols = setup.cache.solutions(delta)
-        if j > len(sols):
-            return -np.inf, len(sols)
-        mean = sols[j - 1].interpolate(setup.data_locations)
-        return mvn_logpdf(y, mean, noise.cov), len(sols)
+    def loglik(theta, j, xi):
+        mean = setup.cache.solutions(theta[0])[j - 1].interpolate(setup.data_locations)
+        return mvn_logpdf(y, mean, noise.cov)
 
-    if init is None:
-        init = (delta_prior.sample(rng.substream(rng.stream_id + 103)), 1)
-    delta, j = float(init[0]), int(init[1])
-    ll_cur, n_cur = loglik(delta, j)
-    lp_cur = ll_cur + delta_prior.logpdf(delta) - np.log(n_cur)
-
-    d_arr, e_arr, j_arr, l_arr, a_arr = _chain_arrays(n_steps)
-    accepted = 0
-    for t in range(n_steps):
-        d_prop = delta + step_scale * gen.standard_normal()
-        redraw = gen.uniform() < j_reproposal
-        if not delta_prior.lo < d_prop < delta_prior.hi:
-            gen.uniform()
-        else:
-            n_prop = len(setup.cache.solutions(d_prop))
-            j_prop = int(gen.integers(1, n_prop + 1)) if redraw else j
-            ll_prop, _ = loglik(d_prop, j_prop)
-            lp_prop = ll_prop + delta_prior.logpdf(d_prop) - np.log(n_prop)
-            q_fwd = (1.0 - j_reproposal) * (j_prop == j) + j_reproposal / n_prop
-            q_rev = (1.0 - j_reproposal) * (j_prop == j) + j_reproposal / n_cur
-            if np.log(gen.uniform()) < lp_prop - lp_cur + np.log(q_rev) - np.log(q_fwd):
-                delta, j, lp_cur, n_cur = d_prop, j_prop, lp_prop, n_prop
-                accepted += 1
-                a_arr[t] = True
-        d_arr[t], e_arr[t], j_arr[t], l_arr[t] = delta, np.nan, j, lp_cur
-    return ChainResult(d_arr, e_arr, j_arr, l_arr, a_arr, accepted / n_steps)
+    thetas, js, lls, accepted, calls = _mh_chain(
+        lambda theta: delta_prior.logpdf(theta[0]), loglik,
+        lambda theta: len(setup.cache.solutions(theta[0])),
+        (float(init[0]),), int(init[1]), (step_scale,), n_steps, rng.generator(),
+    )
+    return ChainResult(thetas[:, 0], np.full(n_steps, np.nan), js, lls, accepted,
+                       accepted.mean(), calls)

@@ -279,18 +279,16 @@ def fd_check(
 def fill_distance(design, domain_probe) -> float:
     """Largest distance from a probe point to its nearest design point.
 
-    ``domain_probe`` should be a dense grid over the domain; the result
-    approximates ``sup_x min_i |x - x_i|`` from below at the probe
-    resolution.
+    ``domain_probe`` should be a dense grid over the domain, shape
+    ``(n, d)`` or ``(n,)`` in 1D; the design is read as points of the same
+    dimension d. The result approximates ``sup_x min_i |x - x_i|`` from
+    below at the probe resolution.
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    if design.shape[1] > 2:  # a 1D vector came in as a single row
-        design = design.T
+    probe = np.asarray(domain_probe, dtype=float)
+    probe = probe.reshape(len(probe), -1)
+    design = np.asarray(design, dtype=float).reshape(-1, probe.shape[1])
     if design.size == 0:
         raise EmptyDesign("fill distance of an empty design")
-    probe = np.atleast_2d(np.asarray(domain_probe, dtype=float))
-    if probe.shape[1] > 2:
-        probe = probe.T
     dist, _ = cKDTree(design).query(probe)
     return float(np.max(dist))
 

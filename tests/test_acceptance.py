@@ -1,7 +1,7 @@
 """Acceptance suite: one test per headline criterion.
 
-Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
-captured output) and asserts the criterion at its stated tolerance,
+Each test prints a single PASS/FAIL line, which ``conftest.py`` repeats in
+the terminal summary, and asserts the criterion at its stated tolerance,
 including the runtime budget.
 """
 
@@ -40,11 +40,7 @@ TAGS = [ID, NL, OperatorTag.affine_interior(0.7, -2.0), OperatorTag.affine_inter
 
 
 def report(num: int, ok: bool, detail: str) -> None:
-    import sys
-    line = f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}"
-    print(line)
-    if sys.stdout is not sys.__stdout__:  # also reach the terminal under capture
-        print(line, file=sys.__stdout__)
+    print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
 class Timer:

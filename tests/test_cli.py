@@ -170,17 +170,3 @@ class TestManifestRerun:
                      "--from-manifest", str(out / "manifest.json")])
         assert code == 2
 
-
-class TestThreadCap:
-    def test_env_threads_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PMM_THREADS", "0")
-        code = main(["converge", "--output-dir", str(tmp_path),
-                     "--m_list", "5,10", "--eval_points", "64"])
-        assert code == 2
-
-    def test_env_threads_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PMM_THREADS", "2")
-        main(["converge", "--output-dir", str(tmp_path),
-              "--m_list", "5,10", "--eval_points", "64"])
-        manifest = json.load(open(tmp_path / "manifest.json"))
-        assert manifest["threads"] == 2

@@ -25,7 +25,7 @@ from pmm.inverse import (
     pm_loglik,
     pm_mcmc,
     pn_loglik,
-    rw_metropolis,
+    _mh_chain,
 )
 from pmm.kernels import OperatorTag, SqExpKernel
 from pmm.linalg import RngStream, mvn_logpdf
@@ -218,6 +218,16 @@ class TestInverse1DBehavior:
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
+def rw_metropolis(logtarget, init, step_scales, n_steps, rng):
+    """``_mh_chain`` as a plain random-walk Metropolis chain: one solution
+    index, a flat prior and a deterministic target. Returns the states and
+    the acceptance rate."""
+    thetas, _, _, accepted, _ = _mh_chain(
+        lambda theta: 0.0, lambda theta, j, xi: logtarget(theta), lambda theta: 1,
+        init, 1, step_scales, n_steps, rng.generator())
+    return thetas, accepted.mean()
+
+
 class TestRwMetropolis:
     def test_standard_normal_moments(self):
         chain, rate = rw_metropolis(lambda x: -0.5 * float(x @ x), np.zeros(1),
@@ -225,10 +235,6 @@ class TestRwMetropolis:
         assert 0.2 < rate < 0.7
         assert abs(chain.mean()) < 0.05
         assert abs(chain.var() - 1.0) < 0.1
-
-    def test_positive_steps_required(self):
-        with pytest.raises(ValueError):
-            rw_metropolis(lambda x: 0.0, np.zeros(1), [0.0], 10, RngStream(0))
 
     def test_reproducible(self):
         target = lambda x: -0.5 * float(x @ x)
@@ -416,6 +422,46 @@ class TestPluginChain:
                                setup=setup, noise=noise, init=(0.04, 1))
         assert np.all(chain.delta > 0.02) and np.all(chain.delta < 0.15)
         assert chain.acceptance_rate > 0.05
+
+    def test_exact_target(self, ac_context):
+        # The plug-in likelihood is constant on each cache cell, so the exact
+        # posterior over (cell, j) is a finite sum: the cell's width inside
+        # the prior support times L(cell, j) / n(cell). The cache depends on
+        # the order in which cells are first solved, so a fixed sweep fills a
+        # fresh one: 0.040 down to 0.020, then up to 0.150.
+        _, y, noise = ac_context
+        lo, hi, res = 0.02, 0.15, 0.002
+        cache = CoarseSolutionCache(31, res, seed=0)
+        cells = [*range(20, 9, -1), *range(21, 76)]
+        for cell in cells:
+            cache.solutions(cell * res)
+        setup = ACInverseSetup(design=ac_design(5, 5), data_locations=interior_grid_2d(4),
+                               cache=cache)
+        states, logp = [], []
+        for cell in sorted(cells):
+            sols = cache.solutions(cell * res)
+            width = min(hi, (cell + 0.5) * res) - max(lo, (cell - 0.5) * res)
+            for j, sol in enumerate(sols, start=1):
+                states.append((cell, j))
+                logp.append(np.log(width / len(sols))
+                            + plugin_loglik(y, sol.interpolate(setup.data_locations), noise))
+        exact = np.exp(np.array(logp) - max(logp))
+        exact /= exact.sum()
+
+        chain = ac_plugin_mcmc(y, UniformPrior(lo, hi), 40_000, RngStream(15), setup=setup,
+                               noise=noise, init=(0.04, 1), step_scale=0.003)
+        index = {state: k for k, state in enumerate(states)}
+        labels = np.array([index[int(round(d / res)), j] for d, j in zip(chain.delta, chain.j)])
+        freq = np.bincount(labels, minlength=len(states)) / labels.size
+        tv = 0.5 * np.abs(freq - exact).sum()
+        # batch means give each frequency's Monte Carlo standard error; the
+        # bound is three times the total-variation distance those errors
+        # would make if every state were off by one standard error
+        batches = np.array([np.bincount(b, minlength=len(states)) / b.size
+                            for b in np.array_split(labels, 20)])
+        se = batches.std(axis=0, ddof=1) / np.sqrt(len(batches))
+        bound = 3.0 * 0.5 * se.sum()
+        assert tv < bound, f"TV {tv:.4f} from the exact target, bound {bound:.4f}"
 
     def test_pilot_scan_finds_neighborhood(self, ac_context):
         setup, y, noise = ac_context

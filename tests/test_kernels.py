@@ -184,12 +184,14 @@ class TestFillDistance:
         assert fill_distance(probe, probe) == 0.0
 
     def test_uniform_grid_half_spacing(self):
-        # m points with spacing s, endpoints included -> h = s/2
-        for m in (5, 9):
-            pts = np.linspace(0.0, 1.0, m)[:, None]
+        # m points with spacing s, endpoints included -> h = s/2; a flat
+        # design works too, and a flat pair is two 1D points, not one 2D point
+        for m in (2, 5, 9):
+            grid = np.linspace(0.0, 1.0, m)
             s = 1.0 / (m - 1)
-            h = fill_distance(pts, unit_interval_probe())
-            assert h == pytest.approx(s / 2, abs=2e-4)
+            for pts in (grid[:, None], grid):
+                h = fill_distance(pts, unit_interval_probe())
+                assert h == pytest.approx(s / 2, abs=2e-4)
 
     def test_2d_probe(self):
         h = fill_distance(np.array([[0.5, 0.5]]), unit_square_probe())
