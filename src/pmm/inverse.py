@@ -11,21 +11,19 @@ solutions; a pseudo-marginal Metropolis chain accepts on that estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
-from .forward import ForwardPosterior, solve_forward
-from .kernels import SqExpKernel, op_gram, OperatorTag
+from .forward import ForwardPosterior
+from .kernels import OperatorTag, SqExpKernel, _sqexp_pair_from_r2, op_gram
 from .linalg import RngStream, chol_jitter, mvn_logpdf
 from .problems import (
     ACDesign,
     GridSolution,
     LatentField,
     ac_deflated_solve,
-    linearized_ac_blocks,
     z_from_u,
     DELTA_RANGE,
 )
@@ -264,11 +262,46 @@ class CoarseSolutionCache:
 
 @dataclass(frozen=True)
 class ACInverseSetup:
-    """Context shared by every Allen-Cahn likelihood evaluation."""
+    """Context shared by every Allen-Cahn likelihood evaluation.
+
+    Besides the design, the data locations and the coarse-solution cache,
+    it holds what no likelihood call changes: the squared distances between
+    the stacked points [interior, boundary, data], and a memo of each coarse
+    branch's values at the interior design points and the data points, one
+    entry per (cache cell, j).
+    """
 
     design: ACDesign
     data_locations: np.ndarray
     cache: CoarseSolutionCache
+    _r2: np.ndarray = field(init=False, repr=False, compare=False)
+    _branches: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = np.vstack([self.design.interior_points, self.design.boundary_points,
+                         self.data_locations])
+        object.__setattr__(self, "_r2", np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+
+    def branch_values(self, delta: float, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The j-th coarse branch at the interior design points and at the
+        data points, shared by every delta in one cache cell."""
+        key = (self.cache._cell(delta), j)
+        hit = self._branches.get(key)
+        if hit is None:
+            sols = self.cache.solutions(delta)
+            if not 1 <= j <= len(sols):
+                raise SolutionIndexOutOfRange(f"j={j}, only {len(sols)} solutions found")
+            n_int = len(self.design.interior_points)
+            vals = sols[j - 1].interpolate(
+                np.vstack([self.design.interior_points, self.data_locations]))
+            vals.setflags(write=False)  # every caller shares the memo's arrays
+            hit = self._branches[key] = (vals[:n_int], vals[n_int:])
+        return hit
+
+    def latent_centre(self, delta: float, j: int) -> np.ndarray:
+        """The latent field ``-u^3 / delta`` of the j-th branch at the
+        interior design points, at this delta rather than its cell's."""
+        return -self.branch_values(delta, j)[0] ** 3 / delta
 
 
 # ----------------------------------------------------------------------
@@ -286,9 +319,10 @@ class PMEstimate:
     @classmethod
     def from_log_weights(cls, log_weights) -> "PMEstimate":
         lw = np.asarray(log_weights, dtype=float).reshape(-1)
-        if not np.any(np.isfinite(lw)):
+        if not np.isfinite(lw).any():
             raise AllWeightsDegenerate("all importance weights underflowed")
-        return cls(float(logsumexp(lw) - np.log(lw.size)), lw.size, lw)
+        shift = lw.max()
+        return cls(float(shift + np.log(np.exp(lw - shift).sum() / lw.size)), lw.size, lw)
 
 
 def _draw_latents(zbar, cov, m: int, rng: RngStream, cov_scale: float = 1.0, xi=None):
@@ -329,6 +363,36 @@ def importance_sample_z(delta: float, j: int, kernel: SqExpKernel, design: ACDes
     return LatentField(draws[0]), float(log_r[0])
 
 
+def _joint_matrix(setup: ACInverseSetup, delta: float, kernel: SqExpKernel, noise: NoiseModel):
+    """Equilibrated joint covariance of [operator@interior, identity@interior,
+    boundary, data], with the noise added to the data block.
+
+    The leading rows are the Gram matrix of the linearized forward solve,
+    entry for entry as ``assemble_gram`` builds it, divided by the square
+    root of its diagonal as ``solve_forward`` does; the data rows are left
+    in natural units. Returns the matrix and the per-row scale.
+    """
+    r2 = setup._r2
+    n_int = len(setup.design.interior_points)
+    n_gram = len(r2) + n_int - len(setup.data_locations)
+    op = OperatorTag.affine_interior(delta, -1.0 / delta)
+    ident = OperatorTag.identity()
+    ell, d = kernel.lengthscale, kernel.dim
+    n = n_int + len(r2)
+    joint = np.empty((n, n))
+    joint[:n_int, :n_int] = _sqexp_pair_from_r2(op, op, r2[:n_int, :n_int], ell, d)
+    joint[:n_int, n_int:] = _sqexp_pair_from_r2(op, ident, r2[:n_int], ell, d)
+    joint[n_int:, :n_int] = joint[:n_int, n_int:].T
+    joint[n_int:, n_int:] = _sqexp_pair_from_r2(ident, ident, r2, ell, d)
+    diag = joint.diagonal()[:n_gram]
+    scale = np.ones(n)
+    scale[:n_gram] = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    joint /= scale[:, None]
+    joint /= scale[None, :]
+    joint[n_gram:, n_gram:] += noise.cov
+    return joint, scale
+
+
 def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
               noise: NoiseModel, rng: RngStream, *, setup: ACInverseSetup,
               xi=None) -> PMEstimate:
@@ -339,39 +403,36 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     induces, and scores the data under the solver-marginalized Gaussian;
     weights divide out the proposal density (the latent prior is flat, so
     no prior factor appears). The estimate is the log of the weight
-    average. All particles share one Gram factorization since the
-    latent field only enters the right-hand side. ``xi`` optionally fixes
-    the underlying standard-normal batch, which is how the correlated
-    chain couples successive estimates.
+    average. ``xi`` optionally fixes the underlying standard-normal batch,
+    which is how the correlated chain couples successive estimates.
+
+    The latent field only enters the right-hand side, so one Cholesky
+    factor ``L`` of the joint covariance of the forward observations and
+    the noisy data serves every particle (Rasmussen & Williams, GPML,
+    Alg. 2.1): ``L^-1 [rhs; y]`` ends in the whitened residual of the data
+    against the forward posterior mean, and the trailing diagonal of ``L``
+    gives the log-determinant of the marginal data covariance. The
+    proposal covariance is the joint matrix's identity@interior block.
     """
     if m_particles < 1:
         raise ValueError("need at least one particle")
     y = np.asarray(y, dtype=float).reshape(-1)
-    sols = setup.cache.solutions(delta)
-    if not 1 <= j <= len(sols):
-        raise SolutionIndexOutOfRange(f"j={j}, only {len(sols)} solutions found")
-    kernel = SqExpKernel(ell, dim=2)
-    x_int = setup.design.interior_points
-    zbar = z_from_u(sols[j - 1], delta, x_int).z_values
-    k_prop = op_gram(OperatorTag.identity(), OperatorTag.identity(), kernel, x_int, x_int)
-    z_draws, log_r = _draw_latents(zbar, k_prop, m_particles, rng, xi=xi)
-
-    blocks = linearized_ac_blocks(delta, LatentField(z_draws[0]), setup.design)
-    post = solve_forward(blocks, kernel)
-    x_data = setup.data_locations
-    cross = post.cross_cov(x_data)
-    sigma = noise.cov + post.cov(x_data)
-    factor = chol_jitter(sigma)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)))
-
-    u_draws = np.cbrt(-delta * z_draws)
-    rhs = np.vstack([
-        z_draws.T,
-        u_draws.T,
-        np.tile(setup.design.boundary_rhs[:, None], (1, m_particles)),
-    ])
-    means = cross @ post.weights_for(rhs)
-    resid = solve_triangular(factor.lower, y[:, None] - means, lower=True)
+    zbar = setup.latent_centre(delta, j)
+    n_int = zbar.size
+    joint, scale = _joint_matrix(setup, delta, SqExpKernel(ell, dim=2), noise)
+    n_gram = len(joint) - y.size
+    z_draws, log_r = _draw_latents(zbar, joint[n_int:2 * n_int, n_int:2 * n_int],
+                                   m_particles, rng, xi=xi)
+    factor = chol_jitter(joint)
+    rhs = np.empty((len(joint), m_particles))
+    rhs[:n_int] = z_draws.T
+    rhs[n_int:2 * n_int] = np.cbrt(-delta * z_draws).T
+    rhs[2 * n_int:n_gram] = setup.design.boundary_rhs[:, None]
+    rhs[n_gram:] = y[:, None]
+    rhs /= scale[:, None]
+    # chol_jitter has checked the factor; a non-finite rhs shows in the weights
+    resid = solve_triangular(factor.lower, rhs, lower=True, check_finite=False)[n_gram:]
+    logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)[n_gram:]))
     logliks = -0.5 * (y.size * _LOG_2PI + logdet + np.sum(resid**2, axis=0))
     return PMEstimate.from_log_weights(logliks - log_r)
 
@@ -409,8 +470,8 @@ def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel, grid) -> floa
     y = np.asarray(y, dtype=float).reshape(-1)
     best, best_ll = None, -np.inf
     for delta in np.asarray(grid, dtype=float):
-        for sol in setup.cache.solutions(delta):
-            ll = plugin_loglik(y, sol.interpolate(setup.data_locations), noise)
+        for j in range(1, len(setup.cache.solutions(delta)) + 1):
+            ll = plugin_loglik(y, setup.branch_values(delta, j)[1], noise)
             if ll > best_ll:
                 best, best_ll = float(delta), ll
     return best
@@ -438,14 +499,23 @@ def _mh_chain(log_prior, loglik, n_found, theta, j, step_scales, n_steps, gen,
 
     Returns the retained theta, j and log-likelihood after each step, the
     per-step acceptance flags and the number of likelihood evaluations.
+    Raises ``FloatingPointError`` when a log-likelihood is NaN.
     """
     theta = np.asarray(theta, dtype=float)
     scales = np.asarray(step_scales, dtype=float)
     n_cur = n_found(theta)
     if not 1 <= j <= n_cur:
         raise SolutionIndexOutOfRange(f"initial j={j}, {n_cur} solutions found")
+
+    def checked(theta, j, xi):
+        ll = loglik(theta, j, xi)
+        # a NaN would make every comparison false and the chain reject silently
+        if np.isnan(ll):
+            raise FloatingPointError(f"log-likelihood is NaN at theta={theta}, j={j}")
+        return ll
+
     xi = gen.standard_normal(noise_shape)
-    ll_cur = loglik(theta, j, xi)
+    ll_cur = checked(theta, j, xi)
     lp_cur = log_prior(theta) - np.log(n_cur)
     calls = 1
     rho = noise_correlation
@@ -464,7 +534,7 @@ def _mh_chain(log_prior, loglik, n_found, theta, j, step_scales, n_steps, gen,
             if j_prop <= n_prop:
                 eps = gen.standard_normal(noise_shape)
                 xi_prop = rho * xi + np.sqrt(1.0 - rho**2) * eps
-                ll_prop = loglik(theta_prop, j_prop, xi_prop)
+                ll_prop = checked(theta_prop, j_prop, xi_prop)
                 calls += 1
                 lp_prop -= np.log(n_prop)
                 # Hastings correction for the index mixture proposal
@@ -541,8 +611,7 @@ def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *
     y = np.asarray(y, dtype=float).reshape(-1)
 
     def loglik(theta, j, xi):
-        mean = setup.cache.solutions(theta[0])[j - 1].interpolate(setup.data_locations)
-        return mvn_logpdf(y, mean, noise.cov)
+        return mvn_logpdf(y, setup.branch_values(theta[0], j)[1], noise.cov)
 
     thetas, js, lls, accepted, calls = _mh_chain(
         lambda theta: delta_prior.logpdf(theta[0]), loglik,

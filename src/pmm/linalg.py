@@ -8,6 +8,7 @@ this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,9 @@ def chol_jitter(m, jitter_min: float | None = None, jitter_max: float | None = N
     ------
     NotPositiveDefinite
         If factorization fails for every jitter in the schedule.
+    FloatingPointError
+        If the factor's diagonal is not finite, which is how a NaN or inf
+        anywhere in the lower triangle of ``m`` shows.
     """
     m = _as_sym_matrix(m)
     scale = float(np.mean(np.diag(m)))
@@ -119,7 +123,6 @@ def chol_jitter(m, jitter_min: float | None = None, jitter_max: float | None = N
     while True:
         try:
             lower = np.linalg.cholesky(m + jitter * np.eye(n) if jitter else m)
-            return CholFactor(lower=lower, jitter_used=jitter, n=n)
         except np.linalg.LinAlgError:
             jitter = jitter_min if jitter == 0.0 else 10.0 * jitter
             if jitter > jitter_max * (1.0 + 1e-12):
@@ -127,6 +130,12 @@ def chol_jitter(m, jitter_min: float | None = None, jitter_max: float | None = N
                     f"Cholesky failed up to jitter {jitter_max:.3e} "
                     f"(matrix size {n}, diagonal mean {scale:.3e})"
                 ) from None
+        else:
+            # the diagonal entries are positive square roots, so their sum is
+            # finite exactly when each of them is
+            if not math.isfinite(lower.trace()):
+                raise FloatingPointError(f"Cholesky factor of a size-{n} matrix is not finite")
+            return CholFactor(lower=lower, jitter_used=jitter, n=n)
 
 
 def psd_solve(f: CholFactor, b) -> np.ndarray:

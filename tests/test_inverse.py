@@ -27,9 +27,16 @@ from pmm.inverse import (
     pn_loglik,
     _mh_chain,
 )
-from pmm.kernels import OperatorTag, SqExpKernel
+from pmm.kernels import OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, mvn_logpdf
-from pmm.problems import Poisson1D, ac_design, generate_data, poisson_exact
+from pmm.problems import (
+    Poisson1D,
+    ac_design,
+    generate_data,
+    linearized_ac_blocks,
+    poisson_exact,
+    z_from_u,
+)
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +377,48 @@ class TestPmLoglik:
         b = pm_loglik(y, 0.04, 0.1, 1, 4, noise, RngStream(10), setup=setup, xi=xi)
         assert a.log_estimate == b.log_estimate
 
+    @staticmethod
+    def two_factor_estimate(y, delta, ell, j, xi, setup, noise):
+        """The estimate through the public forward solver: one factor for the
+        Gram of the linearized solve, one for the marginal data covariance."""
+        kernel = SqExpKernel(ell, dim=2)
+        x_int = setup.design.interior_points
+        zbar = z_from_u(setup.cache.solutions(delta)[j - 1], delta, x_int).z_values
+        k_prop = op_gram(OperatorTag.identity(), OperatorTag.identity(), kernel, x_int, x_int)
+        z = zbar + xi @ np.linalg.cholesky(k_prop).T
+        post = solve_forward(linearized_ac_blocks(delta, z[0], setup.design), kernel)
+        x_data = setup.data_locations
+        sigma = noise.cov + post.cov(x_data)
+        rhs = np.vstack([z.T, np.cbrt(-delta * z).T,
+                         np.tile(setup.design.boundary_rhs[:, None], (1, len(z)))])
+        means = post.cross_cov(x_data) @ post.weights_for(rhs)
+        log_w = [mvn_logpdf(y, means[:, i], sigma) - mvn_logpdf(z[i], zbar, k_prop)
+                 for i in range(len(z))]
+        return logsumexp(log_w) - np.log(len(z))
+
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.15])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_joint_factor_matches_two_factor_path(self, ac_context, ell, j):
+        setup, y, noise = ac_context
+        # 0.0406 snaps to the 0.040 cell, so the latent centre must use the
+        # actual delta while the branch comes from the cell
+        delta = 0.0406
+        xi = RngStream(20, j).generator().standard_normal((8, 25))
+        got = pm_loglik(y, delta, ell, j, 8, noise, RngStream(0), setup=setup, xi=xi)
+        want = self.two_factor_estimate(y, delta, ell, j, xi, setup, noise)
+        assert got.log_estimate == pytest.approx(want, rel=1e-10)
+
+    def test_one_cell_shares_branch_values(self, ac_context):
+        shared, y, noise = ac_context
+        setup = ACInverseSetup(design=shared.design, data_locations=shared.data_locations,
+                               cache=shared.cache)
+        d1, d2 = 0.0401, 0.0409  # both in the 0.040 cell
+        for delta in (d1, d2):
+            pm_loglik(y, delta, 0.1, 2, 4, noise, RngStream(1), setup=setup)
+        assert len(setup._branches) == 1
+        c1, c2 = setup.latent_centre(d1, 2), setup.latent_centre(d2, 2)
+        np.testing.assert_allclose(c1 / c2, d2 / d1, rtol=1e-14)
+
 
 class TestPmMcmc:
     def test_prior_support_respected(self, ac_context):
@@ -394,6 +443,25 @@ class TestPmMcmc:
         # are never recomputed
         assert len(calls) == chain.estimator_calls
         assert len(calls) <= 201
+
+    @pytest.mark.parametrize("nan_call", [0, 5])
+    def test_nan_estimate_raises(self, ac_context, nan_call):
+        # a NaN log-likelihood, at the initial state or at a proposal, must
+        # stop the chain instead of being rejected
+        setup, y, noise = ac_context
+        calls = []
+
+        def stub(delta, ell, j, xi):
+            calls.append(delta)
+            if len(calls) > nan_call:
+                return PMEstimate(float("nan"), 1, np.array([np.nan]))
+            return PMEstimate.from_log_weights(np.array([0.0]))
+
+        with pytest.raises(FloatingPointError):
+            pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 4, 200,
+                    RngStream(11, 2), setup=setup, noise=noise,
+                    init=(0.04, 0.1, 1), estimator=stub)
+        assert len(calls) == nan_call + 1
 
     def test_reproducible(self, ac_context):
         setup, y, noise = ac_context

@@ -56,6 +56,25 @@ class TestCholJitter:
         with pytest.raises(NotPositiveDefinite):
             chol_jitter(np.array([[1.0, 0.0], [0.0, -5.0]]))
 
+    @pytest.mark.parametrize("entry,value,error", [
+        ((2, 0), np.nan, FloatingPointError),
+        ((1, 1), np.nan, FloatingPointError),
+        ((0, 0), np.inf, FloatingPointError),
+        # an inf below the diagonal drives a pivot to -inf, which LAPACK
+        # rejects, so the jitter schedule runs out
+        ((2, 1), np.inf, NotPositiveDefinite),
+    ])
+    def test_non_finite_matrix_raises(self, entry, value, error):
+        # LAPACK returns a NaN factor for a NaN input without complaint; both
+        # errors must be ones the CLI reports as a failed numerical stage
+        from pmm.cli import NUMERICAL_ERRORS
+
+        m = random_spd(4, 5)
+        m[entry] = value
+        with pytest.raises(error):
+            chol_jitter(m)
+        assert issubclass(error, NUMERICAL_ERRORS)
+
     def test_zero_matrix_uses_unit_scale(self):
         f = chol_jitter(np.zeros((3, 3)))
         assert f.jitter_used > 0.0
