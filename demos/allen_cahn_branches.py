@@ -36,7 +36,7 @@ sigma = 0.02
 data_locations = interior_grid_2d(4)
 y = solutions[0].interpolate(data_locations) \
     + sigma * RngStream(0, 32).generator().standard_normal(len(data_locations))
-cache = CoarseSolutionCache(31, seed=0)
+cache = CoarseSolutionCache(31)
 setup = ACInverseSetup(design=ac_design(5, 5), data_locations=data_locations, cache=cache)
 noise = NoiseModel.isotropic(sigma, len(y))
 prior = UniformPrior(0.02, 0.15)

@@ -16,8 +16,6 @@ from .forward import (
     ObservationBlock,
     assemble_gram,
     convergence_experiment,
-    posterior_cov,
-    posterior_mean,
     sample_paths,
     solve_forward,
 )

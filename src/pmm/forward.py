@@ -27,8 +27,6 @@ __all__ = [
     "ForwardPosterior",
     "assemble_gram",
     "solve_forward",
-    "posterior_mean",
-    "posterior_cov",
     "sample_paths",
     "convergence_experiment",
     "ConvergenceRow",
@@ -42,7 +40,7 @@ __all__ = [
 _BOUNDARY_TOL = 1e-12
 
 
-def _points_2d(points, dim_hint=None) -> np.ndarray:
+def _points_2d(points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -166,10 +164,6 @@ class ForwardPosterior:
     def sample(self, X, n: int, rng: RngStream) -> np.ndarray:
         return mvn_sample(self.mean(X), self.cov(X), n, rng)
 
-    @property
-    def rhs_all(self) -> np.ndarray:
-        return np.concatenate([b.rhs for b in self.blocks])
-
 
 def solve_forward(blocks, kernel) -> ForwardPosterior:
     """Condition the prior on all observation blocks.
@@ -194,16 +188,6 @@ def solve_forward(blocks, kernel) -> ForwardPosterior:
         weights=weights,
         _dscale=dscale,
     )
-
-
-def posterior_mean(p: ForwardPosterior, X) -> np.ndarray:
-    """Posterior mean at the evaluation points ``X``."""
-    return p.mean(X)
-
-
-def posterior_cov(p: ForwardPosterior, X) -> np.ndarray:
-    """Posterior covariance at ``X``, symmetrized after evaluation."""
-    return p.cov(X)
 
 
 def sample_paths(p: ForwardPosterior, X, n: int, rng: RngStream) -> np.ndarray:

@@ -208,56 +208,39 @@ def grid_mode(theta_grid, density) -> float:
 # ----------------------------------------------------------------------
 
 class CoarseSolutionCache:
-    """Memoized multimodal coarse solves on a regular delta grid.
+    """Multimodal coarse solves on a regular delta grid, one table per
+    (grid size, resolution).
 
-    Lookups snap to the nearest cell of the given resolution; a new cell
-    is solved with continuation seeds from the nearest already-solved
-    cell, which keeps thin-interface branches reachable near the lower
-    end of the parameter range.
+    The constructor solves every cell of ``DELTA_RANGE`` once, by
+    continuation downward from its top: each cell's deflated Newton solve
+    is seeded with the branches of the cell above, which keeps the
+    thin-interface branches at small delta reachable and lines up the
+    branch indices of neighbouring cells. Lookups snap delta to the
+    nearest cell, so the table, and every likelihood read from it, does
+    not depend on a seed or on the order in which cells are looked up.
     """
 
-    def __init__(self, grid_n: int = 31, resolution: float = 0.002,
-                 seed: int = 0, damping: float = 1.0):
+    def __init__(self, grid_n: int = 31, resolution: float = 0.002):
         self.grid_n = grid_n
         self.resolution = resolution
-        self.damping = damping
-        self._rng_seed = seed
         self._store: dict[int, list[GridSolution]] = {}
+        lo, hi = DELTA_RANGE
+        sols = []
+        for cell in range(round(hi / resolution), round(lo / resolution) - 1, -1):
+            sols = ac_deflated_solve(
+                float(np.clip(cell * resolution, lo, hi)), grid_n, RngStream(0, cell),
+                seeds=[s.u.ravel() for s in sols],
+            )
+            self._store[cell] = sols
 
     def _cell(self, delta: float) -> int:
+        lo, hi = DELTA_RANGE
+        if not lo <= delta <= hi:
+            raise ValueError(f"delta={delta} lies outside DELTA_RANGE {DELTA_RANGE}")
         return int(round(delta / self.resolution))
 
-    def snapped(self, delta: float) -> float:
-        lo, hi = DELTA_RANGE
-        return float(np.clip(self._cell(delta) * self.resolution, lo, hi))
-
     def solutions(self, delta: float) -> list:
-        cell = self._cell(delta)
-        hit = self._store.get(cell)
-        if hit is not None:
-            return hit
-        near = min(self._store, key=lambda c: abs(c - cell)) if self._store else None
-        # walk toward distant cells one at a time so every solve is seeded by
-        # its immediate neighbour; thin-interface branches at small delta are
-        # not reachable from cold starts or across larger jumps
-        if near is not None and abs(near - cell) > 3:
-            step = 1 if cell > near else -1
-            for mid in range(near + step, cell, step):
-                self._solve_cell(mid)
-        return self._solve_cell(cell)
-
-    def _solve_cell(self, cell: int) -> list:
-        hit = self._store.get(cell)
-        if hit is not None:
-            return hit
-        near = min(self._store, key=lambda c: abs(c - cell)) if self._store else None
-        seeds = [s.u.ravel() for s in self._store[near]] if near is not None else []
-        sols = ac_deflated_solve(
-            self.snapped(cell * self.resolution), self.grid_n,
-            RngStream(self._rng_seed, cell), damping=self.damping, seeds=seeds,
-        )
-        self._store[cell] = sols
-        return sols
+        return self._store[self._cell(delta)]
 
 
 @dataclass(frozen=True)
@@ -266,36 +249,37 @@ class ACInverseSetup:
 
     Besides the design, the data locations and the coarse-solution cache,
     it holds what no likelihood call changes: the squared distances between
-    the stacked points [interior, boundary, data], and a memo of each coarse
-    branch's values at the interior design points and the data points, one
-    entry per (cache cell, j).
+    the stacked points [interior, boundary, data], and each coarse branch's
+    values at the interior design points and the data points, one entry per
+    (cache cell, j).
     """
 
     design: ACDesign
     data_locations: np.ndarray
     cache: CoarseSolutionCache
     _r2: np.ndarray = field(init=False, repr=False, compare=False)
-    _branches: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _branches: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.vstack([self.design.interior_points, self.design.boundary_points,
-                         self.data_locations])
+        interior = self.design.interior_points
+        pts = np.vstack([interior, self.design.boundary_points, self.data_locations])
         object.__setattr__(self, "_r2", np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+        targets = np.vstack([interior, self.data_locations])
+        branches = {}
+        for cell, sols in self.cache._store.items():
+            for j, sol in enumerate(sols, start=1):
+                vals = sol.interpolate(targets)
+                vals.setflags(write=False)  # every caller shares these arrays
+                branches[cell, j] = (vals[:len(interior)], vals[len(interior):])
+        object.__setattr__(self, "_branches", branches)
 
     def branch_values(self, delta: float, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The j-th coarse branch at the interior design points and at the
         data points, shared by every delta in one cache cell."""
-        key = (self.cache._cell(delta), j)
-        hit = self._branches.get(key)
+        hit = self._branches.get((self.cache._cell(delta), j))
         if hit is None:
-            sols = self.cache.solutions(delta)
-            if not 1 <= j <= len(sols):
-                raise SolutionIndexOutOfRange(f"j={j}, only {len(sols)} solutions found")
-            n_int = len(self.design.interior_points)
-            vals = sols[j - 1].interpolate(
-                np.vstack([self.design.interior_points, self.data_locations]))
-            vals.setflags(write=False)  # every caller shares the memo's arrays
-            hit = self._branches[key] = (vals[:n_int], vals[n_int:])
+            raise SolutionIndexOutOfRange(
+                f"j={j}, only {len(self.cache.solutions(delta))} solutions found")
         return hit
 
     def latent_centre(self, delta: float, j: int) -> np.ndarray:

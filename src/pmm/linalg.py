@@ -105,7 +105,8 @@ def chol_jitter(m, jitter_min: float | None = None, jitter_max: float | None = N
         If factorization fails for every jitter in the schedule.
     FloatingPointError
         If the factor's diagonal is not finite, which is how a NaN or inf
-        anywhere in the lower triangle of ``m`` shows.
+        anywhere in the lower triangle of ``m`` shows, or if a failed
+        factorization meets a non-finite entry of ``m``.
     """
     m = _as_sym_matrix(m)
     scale = float(np.mean(np.diag(m)))
@@ -124,6 +125,9 @@ def chol_jitter(m, jitter_min: float | None = None, jitter_max: float | None = N
         try:
             lower = np.linalg.cholesky(m + jitter * np.eye(n) if jitter else m)
         except np.linalg.LinAlgError:
+            # an inf below the diagonal fails here rather than in the factor
+            if jitter == 0.0 and not np.isfinite(m).all():
+                raise FloatingPointError(f"size-{n} matrix has non-finite entries") from None
             jitter = jitter_min if jitter == 0.0 else 10.0 * jitter
             if jitter > jitter_max * (1.0 + 1e-12):
                 raise NotPositiveDefinite(

@@ -281,12 +281,12 @@ def test_criterion_7_allen_cahn_inverse_coverage():
     with Timer() as t:
         reference = ac_deflated_solve(delta0, 31, RngStream(0, 1))
         truth = reference[0].interpolate(data_locations)
+        # the coarse table depends on neither the seed nor the data
+        setup = ACInverseSetup(design=ac_design(5, 5), data_locations=data_locations,
+                               cache=CoarseSolutionCache(31, 0.002))
         results = []
         for seed in range(5):
             y = truth + sigma * RngStream(seed, 32).generator().standard_normal(len(truth))
-            cache = CoarseSolutionCache(31, 0.002, seed=seed)
-            setup = ACInverseSetup(design=ac_design(5, 5),
-                                   data_locations=data_locations, cache=cache)
             noise = NoiseModel.isotropic(sigma, len(y))
             prior = UniformPrior(0.02, 0.15)
             d_init = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))

@@ -11,8 +11,6 @@ from pmm.forward import (
     interior_grid_1d,
     interior_grid_2d,
     nested_points_1d,
-    posterior_cov,
-    posterior_mean,
     sample_paths,
     solve_forward,
 )

@@ -31,6 +31,7 @@ from pmm.kernels import OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, mvn_logpdf
 from pmm.problems import (
     Poisson1D,
+    ac_deflated_solve,
     ac_design,
     generate_data,
     linearized_ac_blocks,
@@ -42,7 +43,7 @@ from pmm.problems import (
 @pytest.fixture(scope="module")
 def ac_context():
     data_locations = interior_grid_2d(4)
-    cache = CoarseSolutionCache(31, 0.002, seed=0)
+    cache = CoarseSolutionCache(31, 0.002)
     setup = ACInverseSetup(design=ac_design(5, 5), data_locations=data_locations, cache=cache)
     truth = cache.solutions(0.04)[0].interpolate(data_locations)
     sigma = 0.02
@@ -409,13 +410,10 @@ class TestPmLoglik:
         assert got.log_estimate == pytest.approx(want, rel=1e-10)
 
     def test_one_cell_shares_branch_values(self, ac_context):
-        shared, y, noise = ac_context
-        setup = ACInverseSetup(design=shared.design, data_locations=shared.data_locations,
-                               cache=shared.cache)
+        setup, _, _ = ac_context
         d1, d2 = 0.0401, 0.0409  # both in the 0.040 cell
-        for delta in (d1, d2):
-            pm_loglik(y, delta, 0.1, 2, 4, noise, RngStream(1), setup=setup)
-        assert len(setup._branches) == 1
+        for a, b in zip(setup.branch_values(d1, 2), setup.branch_values(d2, 2)):
+            assert a is b
         c1, c2 = setup.latent_centre(d1, 2), setup.latent_centre(d2, 2)
         np.testing.assert_allclose(c1 / c2, d2 / d1, rtol=1e-14)
 
@@ -494,20 +492,12 @@ class TestPluginChain:
     def test_exact_target(self, ac_context):
         # The plug-in likelihood is constant on each cache cell, so the exact
         # posterior over (cell, j) is a finite sum: the cell's width inside
-        # the prior support times L(cell, j) / n(cell). The cache depends on
-        # the order in which cells are first solved, so a fixed sweep fills a
-        # fresh one: 0.040 down to 0.020, then up to 0.150.
-        _, y, noise = ac_context
-        lo, hi, res = 0.02, 0.15, 0.002
-        cache = CoarseSolutionCache(31, res, seed=0)
-        cells = [*range(20, 9, -1), *range(21, 76)]
-        for cell in cells:
-            cache.solutions(cell * res)
-        setup = ACInverseSetup(design=ac_design(5, 5), data_locations=interior_grid_2d(4),
-                               cache=cache)
+        # the prior support times L(cell, j) / n(cell).
+        setup, y, noise = ac_context
+        lo, hi, res = 0.02, 0.15, setup.cache.resolution
         states, logp = [], []
-        for cell in sorted(cells):
-            sols = cache.solutions(cell * res)
+        for cell in range(10, 76):
+            sols = setup.cache.solutions(cell * res)
             width = min(hi, (cell + 0.5) * res) - max(lo, (cell - 0.5) * res)
             for j, sol in enumerate(sols, start=1):
                 states.append((cell, j))
@@ -544,7 +534,30 @@ class TestCoarseCache:
         b = setup.cache.solutions(0.0399)
         assert a is b  # same 0.002 cell
 
-    def test_continuation_to_thin_interfaces(self):
-        cache = CoarseSolutionCache(31, 0.002, seed=3)
-        cache.solutions(0.031)
-        assert len(cache.solutions(0.021)) == 3
+    def test_continuation_to_thin_interfaces(self, ac_context):
+        # a cold deflated solve at the bottom of the range misses branches;
+        # the sweep reaches all three by continuation from above
+        cache = ac_context[0].cache
+        assert len(ac_deflated_solve(0.02, 31, RngStream(0, 10))) < 3
+        sols = cache.solutions(0.021)
+        assert len(sols) == 3
+        assert all(s.residual_norm < 1e-9 for s in sols)
+
+    def test_branches_continue_across_cells(self, ac_context):
+        # every cell holds three converged branches, and branch j of one
+        # cell is the continuation of branch j of the cell above it
+        cache = ac_context[0].cache
+        res = cache.resolution
+        cells = range(75, 9, -1)
+        for upper, lower in zip(cells, cells[1:]):
+            above, below = cache.solutions(upper * res), cache.solutions(lower * res)
+            assert len(below) == 3
+            assert all(s.residual_norm < 1e-9 for s in below)
+            for a, b in zip(above, below):
+                jump = float(np.max(np.abs(a.u - b.u)))
+                assert jump < 0.25, f"branch {a.solution_index}: jump {jump:.3f} at cell {lower}"
+
+    @pytest.mark.parametrize("delta", [0.0199, 0.1501])
+    def test_outside_range_raises(self, ac_context, delta):
+        with pytest.raises(ValueError, match="DELTA_RANGE"):
+            ac_context[0].cache.solutions(delta)
