@@ -12,6 +12,9 @@ Run:  python3 demos/allen_cahn_branches.py    (takes a minute or two)
 import numpy as np
 
 from pmm import (
+    DELTA_RANGE,
+    ACInverseSetup,
+    CoarseSolutionCache,
     HalfCauchyPrior,
     NoiseModel,
     RngStream,
@@ -19,10 +22,10 @@ from pmm import (
     ac_deflated_solve,
     ac_design,
     ac_plugin_mcmc,
+    interior_grid_2d,
+    plugin_delta_scan,
     pm_mcmc,
 )
-from pmm.forward import interior_grid_2d
-from pmm.inverse import ACInverseSetup, CoarseSolutionCache, plugin_delta_scan
 
 delta0 = 0.04
 print(f"solving the phase problem at delta = {delta0} ...")
@@ -39,7 +42,7 @@ y = solutions[0].interpolate(data_locations) \
 cache = CoarseSolutionCache(31)
 setup = ACInverseSetup(design=ac_design(5, 5), data_locations=data_locations, cache=cache)
 noise = NoiseModel.isotropic(sigma, len(y))
-prior = UniformPrior(0.02, 0.15)
+prior = UniformPrior(*DELTA_RANGE)
 init = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
 
 print("\nrunning the solver-aware pseudo-marginal chain (2000 steps) ...")

@@ -20,12 +20,13 @@ from pmm import (
     SqExpKernel,
     UniformPrior,
     generate_data,
+    grid_mean_std,
+    grid_mode,
     grid_posterior,
     plugin_loglik,
     pn_loglik,
     solve_forward,
 )
-from pmm.inverse import grid_mean_std, grid_mode
 
 theta0, sigma = 1.0, 0.001
 locations = np.array([0.25, 0.75])

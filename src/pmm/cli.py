@@ -21,11 +21,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .forward import convergence_experiment, sample_paths, solve_forward
+from .forward import convergence_experiment, interior_grid_2d, sample_paths, solve_forward
 from .inverse import (
     ACInverseSetup,
     CoarseSolutionCache,
     HalfCauchyPrior,
+    MIN_GRID_POINTS,
     NoiseModel,
     UniformPrior,
     ac_plugin_mcmc,
@@ -41,12 +42,13 @@ from .inverse import (
 from .kernels import GreensKernel1D, SqExpKernel
 from .linalg import NotPositiveDefinite, RngStream
 from .problems import (
+    DELTA_RANGE,
+    MIN_GRID_N,
     Poisson1D,
     SolveFailed,
     ac_deflated_solve,
     ac_design,
     generate_data,
-    interior_grid_2d,
 )
 
 __all__ = ["main", "run_forward_demo", "run_converge", "run_inverse_1d", "run_allen_cahn", "ConfigError"]
@@ -222,9 +224,26 @@ def _validate(experiment: str, cfg: dict) -> None:
     for key in ("lengthscale", "sigma", "delta_step", "logell_step", "cache_resolution"):
         if key in cfg and not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be positive")
+    for key in ("m_values", "m_list"):
+        if key in cfg and (not cfg[key] or min(cfg[key]) < 1):
+            raise ConfigError(f"{key} needs at least one design size, each at least 1")
+    if "m_list" in cfg and any(b <= a for a, b in zip(cfg["m_list"], cfg["m_list"][1:])):
+        raise ConfigError("m_list must be strictly increasing")
+    if experiment == "inverse-1d" and cfg["grid_n"] < MIN_GRID_POINTS:
+        raise ConfigError(f"grid_n must be at least {MIN_GRID_POINTS}")
     if experiment == "allen-cahn":
-        if not 0.02 < cfg["delta0"] < 0.15:
-            raise ConfigError("delta0 must lie in (0.02, 0.15)")
+        lo, hi = DELTA_RANGE
+        if not lo < cfg["delta0"] < hi:
+            raise ConfigError(f"delta0 must lie in ({lo}, {hi})")
+        for key in ("grid_n", "data_grid_n"):
+            if cfg[key] < MIN_GRID_N:
+                raise ConfigError(f"{key} must be at least {MIN_GRID_N}")
+        for key in ("data_per_axis", "data_branch", "interior_per_axis", "per_edge",
+                    "m_particles"):
+            if cfg[key] < 1:
+                raise ConfigError(f"{key} must be at least 1")
+        if not 0.0 <= cfg["noise_correlation"] < 1.0:
+            raise ConfigError("noise_correlation must lie in [0, 1)")
         if cfg["burn_in"] >= cfg["n_steps"]:
             raise ConfigError("burn_in must be smaller than n_steps")
 
@@ -376,9 +395,11 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
 
     with _stage("data generation"):
         source = ac_deflated_solve(cfg["delta0"], cfg["data_grid_n"], RngStream(cfg["seed"], 31))
-        branch = min(cfg["data_branch"], len(source))
+        if cfg["data_branch"] > len(source):
+            raise SolutionIndexOutOfRange(
+                f"data_branch={cfg['data_branch']}, only {len(source)} solutions found")
         data_locations = interior_grid_2d(cfg["data_per_axis"])
-        truth = source[branch - 1].interpolate(data_locations)
+        truth = source[cfg["data_branch"] - 1].interpolate(data_locations)
         noise_draw = cfg["sigma"] * RngStream(cfg["seed"], 32).generator().standard_normal(len(truth))
         y = truth + noise_draw
     data_path = os.path.join(out_dir, "data.csv")
@@ -391,7 +412,7 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
         cache=CoarseSolutionCache(cfg["grid_n"], cfg["cache_resolution"]),
     )
     noise = NoiseModel.isotropic(cfg["sigma"], len(y))
-    delta_prior = UniformPrior(0.02, 0.15)
+    delta_prior = UniformPrior(*DELTA_RANGE)
 
     with _stage("pilot initialization"):
         init_delta = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))

@@ -161,9 +161,6 @@ class ForwardPosterior:
         cov = prior - cross @ psd_solve(self.gram_factor, cross.T)
         return 0.5 * (cov + cov.T)
 
-    def sample(self, X, n: int, rng: RngStream) -> np.ndarray:
-        return mvn_sample(self.mean(X), self.cov(X), n, rng)
-
 
 def solve_forward(blocks, kernel) -> ForwardPosterior:
     """Condition the prior on all observation blocks.
@@ -192,7 +189,7 @@ def solve_forward(blocks, kernel) -> ForwardPosterior:
 
 def sample_paths(p: ForwardPosterior, X, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` posterior trajectories at ``X``, shape (n, len(X))."""
-    return p.sample(X, n, rng)
+    return mvn_sample(p.mean(X), p.cov(X), n, rng)
 
 
 # ----------------------------------------------------------------------

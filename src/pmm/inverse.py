@@ -17,16 +17,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .forward import ForwardPosterior
-from .kernels import OperatorTag, SqExpKernel, _sqexp_pair_from_r2, op_gram
+from .kernels import OperatorTag, SqExpKernel, _sqexp_pair_from_r2
 from .linalg import RngStream, chol_jitter, mvn_logpdf
-from .problems import (
-    ACDesign,
-    GridSolution,
-    LatentField,
-    ac_deflated_solve,
-    z_from_u,
-    DELTA_RANGE,
-)
+from .problems import DELTA_RANGE, ACDesign, GridSolution, ac_deflated_solve
 
 __all__ = [
     "AllZeroMass",
@@ -35,17 +28,16 @@ __all__ = [
     "NoiseModel",
     "UniformPrior",
     "HalfCauchyPrior",
-    "LogUniformPrior",
     "PMEstimate",
     "ChainResult",
     "plugin_loglik",
     "pn_loglik",
+    "MIN_GRID_POINTS",
     "grid_posterior",
     "grid_mean_std",
     "grid_mode",
     "CoarseSolutionCache",
     "ACInverseSetup",
-    "importance_sample_z",
     "pm_loglik",
     "pm_mcmc",
     "ac_plugin_mcmc",
@@ -53,6 +45,7 @@ __all__ = [
 ]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+MIN_GRID_POINTS = 50  # fewest points of a grid posterior
 
 
 class AllZeroMass(Exception):
@@ -127,21 +120,6 @@ class HalfCauchyPrior:
         return float(np.log(2.0 / (np.pi * s)) - np.log1p((x / s) ** 2))
 
 
-@dataclass(frozen=True)
-class LogUniformPrior:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lo < self.hi:
-            raise ValueError("need 0 < lo < hi")
-
-    def logpdf(self, x: float) -> float:
-        if self.lo < x < self.hi:
-            return float(-np.log(x) - np.log(np.log(self.hi / self.lo)))
-        return -np.inf
-
-
 # ----------------------------------------------------------------------
 # likelihoods
 # ----------------------------------------------------------------------
@@ -174,8 +152,8 @@ def grid_posterior(theta_grid, prior, loglik) -> np.ndarray:
     density is normalized to unit trapezoid integral over the grid.
     """
     grid = np.asarray(theta_grid, dtype=float).reshape(-1)
-    if grid.size < 50:
-        raise ValueError("need at least 50 grid points")
+    if grid.size < MIN_GRID_POINTS:
+        raise ValueError(f"need at least {MIN_GRID_POINTS} grid points")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be sorted increasing")
     logpost = np.array([loglik(t) + prior.logpdf(t) for t in grid])
@@ -309,7 +287,7 @@ class PMEstimate:
         return cls(float(shift + np.log(np.exp(lw - shift).sum() / lw.size)), lw.size, lw)
 
 
-def _draw_latents(zbar, cov, m: int, rng: RngStream, cov_scale: float = 1.0, xi=None):
+def _draw_latents(zbar, cov, m: int, rng: RngStream, xi=None):
     """Batch of Gaussian latent draws with their own log-densities.
 
     Reuses the covariance factor for draws and densities, so each density
@@ -317,7 +295,7 @@ def _draw_latents(zbar, cov, m: int, rng: RngStream, cov_scale: float = 1.0, xi=
     pre-drawn standard-normal batch ``xi`` may be supplied (the correlated
     pseudo-marginal chain keeps one in its state).
     """
-    factor = chol_jitter(cov_scale * cov)
+    factor = chol_jitter(cov)
     dim = factor.n
     if xi is None:
         xi = rng.generator().standard_normal((m, dim))
@@ -325,26 +303,6 @@ def _draw_latents(zbar, cov, m: int, rng: RngStream, cov_scale: float = 1.0, xi=
     logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)))
     log_r = -0.5 * (dim * _LOG_2PI + logdet + np.sum(xi**2, axis=1))
     return draws, log_r
-
-
-def importance_sample_z(delta: float, j: int, kernel: SqExpKernel, design: ACDesign,
-                        rng: RngStream, *, cache: CoarseSolutionCache,
-                        cov_scale: float = 1.0):
-    """One latent-field proposal and its log-density.
-
-    The proposal is Gaussian, centred at the latent field induced by the
-    j-th coarse solution and with the prior kernel's Gram matrix as
-    covariance (scaled by ``cov_scale``; a tiny scale collapses the
-    proposal onto its centre, which the tests use).
-    """
-    sols = cache.solutions(delta)
-    if not 1 <= j <= len(sols):
-        raise SolutionIndexOutOfRange(f"j={j}, only {len(sols)} solutions found")
-    zbar = z_from_u(sols[j - 1], delta, design.interior_points).z_values
-    cov = op_gram(OperatorTag.identity(), OperatorTag.identity(), kernel,
-                  design.interior_points, design.interior_points)
-    draws, log_r = _draw_latents(zbar, cov, 1, rng, cov_scale)
-    return LatentField(draws[0]), float(log_r[0])
 
 
 def _joint_matrix(setup: ACInverseSetup, delta: float, kernel: SqExpKernel, noise: NoiseModel):

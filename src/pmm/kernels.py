@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "UnsupportedOperatorPair",
@@ -22,12 +21,7 @@ __all__ = [
     "OperatorTag",
     "SqExpKernel",
     "GreensKernel1D",
-    "SmoothnessMeta",
-    "kernel_eval",
-    "op_kernel_eval",
     "op_gram",
-    "fd_check",
-    "default_fd_step",
     "fill_distance",
     "unit_interval_probe",
     "unit_square_probe",
@@ -65,10 +59,6 @@ class OperatorTag:
         return cls(0.0, 1.0)
 
     @classmethod
-    def neg_laplacian(cls, scale: float = 1.0) -> "OperatorTag":
-        return cls(float(scale), 0.0)
-
-    @classmethod
     def affine_interior(cls, a: float, c: float) -> "OperatorTag":
         """``a * (-laplacian) + c * identity`` acting on interior points."""
         return cls(float(a), float(c))
@@ -76,21 +66,6 @@ class OperatorTag:
     @classmethod
     def boundary_trace(cls) -> "OperatorTag":
         return cls(0.0, 1.0, boundary=True)
-
-    @property
-    def order(self) -> int:
-        """Differential order (2 when the Laplacian term is active)."""
-        return 2 if self.a != 0.0 else 0
-
-    @property
-    def variant(self) -> str:
-        if self.boundary:
-            return "BoundaryTrace"
-        if self.a == 0.0 and self.c == 1.0:
-            return "Identity"
-        if self.c == 0.0:
-            return f"NegLaplacian({self.a:g})"
-        return f"AffineInterior(a={self.a:g}, c={self.c:g})"
 
 
 @dataclass(frozen=True)
@@ -106,33 +81,6 @@ class SqExpKernel:
         if self.dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
 
-    def __call__(self, x, y) -> float:
-        return kernel_eval(self, x, y)
-
-
-@dataclass(frozen=True)
-class SmoothnessMeta:
-    """Prior smoothness ``beta``, PDE order ``rho`` and dimension ``d``.
-
-    The posterior-contraction condition needs ``beta > rho + d/2``;
-    construction fails when that does not hold. ``beta`` may be ``inf``
-    (the squared-exponential case), in which case the contraction
-    exponent ``2 beta - 2 rho - d`` is unbounded and not a testable
-    number.
-    """
-
-    beta: float
-    rho: int
-    d: int
-
-    def __post_init__(self):
-        if not self.beta > self.rho + self.d / 2.0:
-            raise ValueError("need beta > rho + d/2 for contraction to be meaningful")
-
-    @property
-    def contraction_exponent(self) -> float:
-        return 2.0 * self.beta - 2.0 * self.rho - self.d
-
 
 def _as_points(x, dim: int) -> np.ndarray:
     """Coerce scalars, vectors of scalars, or (n, dim) arrays to (n, dim)."""
@@ -144,14 +92,6 @@ def _as_points(x, dim: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"points have shape {x.shape}, expected (n, {dim})")
     return x
-
-
-def kernel_eval(k: SqExpKernel, x, y) -> float:
-    """Evaluate ``k(x, y)`` at a single pair of points."""
-    x = _as_points(x, k.dim)
-    y = _as_points(y, k.dim)
-    r2 = float(np.sum((x[0] - y[0]) ** 2))
-    return float(np.exp(-0.5 * r2 / k.lengthscale**2))
 
 
 def _sqexp_pair_from_r2(left: OperatorTag, right: OperatorTag, r2, ell: float, d: int):
@@ -192,90 +132,6 @@ def op_gram(left: OperatorTag, right: OperatorTag, k, X, Y) -> np.ndarray:
     raise UnsupportedOperatorPair(f"no operator images for kernel type {type(k).__name__}")
 
 
-def op_kernel_eval(left: OperatorTag, right: OperatorTag, k, x, y) -> float:
-    """Scalar ``(left_x right_y k)(x, y)``."""
-    return float(op_gram(left, right, k, x, y)[0, 0])
-
-
-def default_fd_step(left: OperatorTag, right: OperatorTag, k) -> float:
-    """A finite-difference step suited to the operator pair and kernel.
-
-    Fourth-order stencils balance truncation against cancellation when the
-    step scales with the lengthscale; second-order stencils are far less
-    delicate. The result always lies in the admissible window
-    ``[1e-5, 1e-3]``.
-    """
-    if isinstance(k, SqExpKernel) and left.order + right.order >= 4:
-        return float(np.clip(7e-4 * k.lengthscale, 1e-5, 1e-3))
-    return 1e-4
-
-
-def fd_check(
-    left: OperatorTag,
-    right: OperatorTag,
-    k: SqExpKernel,
-    x,
-    y,
-    h_fd: float,
-) -> float:
-    """Relative error of a finite-difference oracle against the closed form.
-
-    The operator images are rebuilt from nested central second differences
-    of the plain kernel, evaluated in extended precision (fourth-order
-    stencils at steps near 1e-3 lose more than four digits to cancellation
-    in double precision). The error is measured relative to
-    ``max(|closed form|, 0.01 * scale)``, where ``scale`` is the natural
-    magnitude of the operator pair at the evaluation point; the floor
-    guards zero crossings of the polynomial factor.
-    """
-    if not isinstance(k, SqExpKernel):
-        raise UnsupportedOperatorPair("fd_check targets the squared-exponential closed forms")
-    if not 1e-5 <= h_fd <= 1e-3:
-        raise ValueError("h_fd must lie in [1e-5, 1e-3]")
-    if left.order == 0 and right.order == 0:
-        # a zeroth-order stencil is the function value itself
-        fd0 = left.c * right.c * kernel_eval(k, x, y)
-        value = op_kernel_eval(left, right, k, x, y)
-        return abs(fd0 - value) / max(abs(value), 1e-300)
-    d = k.dim
-    ld = np.longdouble
-    xv = _as_points(x, d)[0].astype(ld)
-    yv = _as_points(y, d)[0].astype(ld)
-    h = ld(h_fd)
-    ell2 = ld(k.lengthscale) ** 2
-
-    def kf(a, b):
-        return np.exp(-np.sum((a - b) ** 2) / (2.0 * ell2))
-
-    def op_y(a, b):
-        val = right.c * kf(a, b) if right.c != 0.0 else ld(0.0)
-        if right.a != 0.0:
-            acc = ld(0.0)
-            for i in range(d):
-                e = np.zeros(d, dtype=ld)
-                e[i] = h
-                acc += kf(a, b + e) - 2.0 * kf(a, b) + kf(a, b - e)
-            val = val + right.a * (-acc / h**2)
-        return val
-
-    fd = left.c * op_y(xv, yv) if left.c != 0.0 else ld(0.0)
-    if left.a != 0.0:
-        acc = ld(0.0)
-        for i in range(d):
-            e = np.zeros(d, dtype=ld)
-            e[i] = h
-            acc += op_y(xv + e, yv) - 2.0 * op_y(xv, yv) + op_y(xv - e, yv)
-        fd = fd + left.a * (-acc / h**2)
-
-    value = op_kernel_eval(left, right, k, x, y)
-    kval = kernel_eval(k, x, y)
-    mag = kval
-    for tag in (left, right):
-        mag *= abs(tag.c) + abs(tag.a) * (d + 2) / k.lengthscale**2
-    denom = max(abs(value), 0.01 * mag)
-    return float(abs(float(fd) - value) / denom)
-
-
 def fill_distance(design, domain_probe) -> float:
     """Largest distance from a probe point to its nearest design point.
 
@@ -283,14 +139,20 @@ def fill_distance(design, domain_probe) -> float:
     ``(n, d)`` or ``(n,)`` in 1D; the design is read as points of the same
     dimension d. The result approximates ``sup_x min_i |x - x_i|`` from
     below at the probe resolution.
+
+    Each probe point keeps a running minimum of its squared distances to
+    the design points, and one square root is taken at the end; a design
+    of a few dozen points needs no spatial index.
     """
     probe = np.asarray(domain_probe, dtype=float)
     probe = probe.reshape(len(probe), -1)
     design = np.asarray(design, dtype=float).reshape(-1, probe.shape[1])
     if design.size == 0:
         raise EmptyDesign("fill distance of an empty design")
-    dist, _ = cKDTree(design).query(probe)
-    return float(np.max(dist))
+    nearest = np.full(len(probe), np.inf)
+    for point in design:
+        np.minimum(nearest, ((probe - point) ** 2).sum(axis=1), out=nearest)
+    return float(np.sqrt(nearest.max()))
 
 
 def unit_interval_probe(n: int = 10_001) -> np.ndarray:
@@ -351,5 +213,3 @@ class GreensKernel1D:
             out = out + tag.a * (-lap)
         return np.asarray(out) * self._sqw[None, :]
 
-    def __call__(self, x, y) -> float:
-        return float(op_kernel_eval(OperatorTag.identity(), OperatorTag.identity(), self, x, y))

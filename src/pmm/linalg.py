@@ -34,7 +34,7 @@ class NotPositiveDefinite(np.linalg.LinAlgError):
 
 @dataclass
 class RngStream:
-    """Seedable random stream with independent substreams.
+    """Seedable random stream, one of many independent streams per seed.
 
     Backed by the counter-based Philox bit generator keyed on
     ``(seed, stream_id)``: identical pairs reproduce identical draw
@@ -56,10 +56,6 @@ class RngStream:
             )
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
-
-    def substream(self, stream_id: int) -> "RngStream":
-        """A fresh stream with the same seed and a different stream id."""
-        return RngStream(self.seed, stream_id)
 
 
 @dataclass(frozen=True)

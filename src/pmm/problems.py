@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from .forward import (
@@ -37,20 +36,16 @@ __all__ = [
     "poisson_exact",
     "Poisson1D",
     "generate_data",
-    "AllenCahnSpec",
+    "DELTA_RANGE",
+    "MIN_GRID_N",
     "GridSolution",
-    "LatentField",
     "ACDesign",
     "ac_design",
-    "ac_boundary_values",
-    "ac_residual",
     "ac_deflated_solve",
-    "z_from_u",
-    "u_from_z",
-    "linearized_ac_blocks",
 ]
 
 DELTA_RANGE = (0.02, 0.15)
+MIN_GRID_N = 16  # fewest interior nodes per axis that ac_deflated_solve accepts
 
 # boundary values on the unit square: +1 where x1 hits an edge, -1 where x2 does
 _AC_BOUNDARY = (1.0, 1.0, -1.0, -1.0)  # (x1=0, x1=1, x2=0, x2=1)
@@ -126,22 +121,6 @@ def generate_data(theta0: float, locations, sigma: float, rng: RngStream) -> np.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AllenCahnSpec:
-    """Interface parameter and the fixed boundary data of the phase problem.
-
-    ``delta`` is restricted to the interval on which the discrete system
-    reliably has three solutions.
-    """
-
-    delta: float
-
-    def __post_init__(self):
-        lo, hi = DELTA_RANGE
-        if not lo < self.delta < hi:
-            raise ValueError(f"delta must lie in ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
 class GridSolution:
     """A converged discrete solution on the N-by-N interior lattice.
 
@@ -186,24 +165,17 @@ class GridSolution:
         full[-1, 1:-1] = top
         full[0, 0] = full[0, -1] = full[-1, 0] = full[-1, -1] = 0.5 * (left + bottom)
         coords = np.concatenate([[0.0], self.coords, [1.0]])
-        interp = RegularGridInterpolator((coords, coords), full.T)
-        return interp(points)
-
-
-@dataclass(frozen=True)
-class LatentField:
-    """Latent values at the interior design points."""
-
-    z_values: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z_values, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("latent field has non-finite entries")
-        object.__setattr__(self, "z_values", z)
-
-    def __len__(self) -> int:
-        return len(self.z_values)
+        if not np.all((points >= 0.0) & (points <= 1.0)):
+            raise ValueError("points must lie in the unit square")
+        # lower-left lattice node of each point's cell; the top edge belongs
+        # to the last cell
+        i = np.clip(np.searchsorted(coords, points[:, 0], side="right") - 1, 0, n)
+        j = np.clip(np.searchsorted(coords, points[:, 1], side="right") - 1, 0, n)
+        y0 = (points[:, 0] - coords[i]) / (coords[i + 1] - coords[i])
+        y1 = (points[:, 1] - coords[j]) / (coords[j + 1] - coords[j])
+        v = full.T  # v[i, j] is the node at (coords[i], coords[j])
+        return (v[i, j] * (1 - y0) * (1 - y1) + v[i, j + 1] * (1 - y0) * y1
+                + v[i + 1, j] * y0 * (1 - y1) + v[i + 1, j + 1] * y0 * y1)
 
 
 @lru_cache(maxsize=8)
@@ -332,8 +304,8 @@ def ac_deflated_solve(
     lo, hi = DELTA_RANGE
     if not lo <= delta <= hi:
         raise ValueError(f"delta must lie in [{lo}, {hi}]")
-    if n < 16:
-        raise ValueError("grid size must be at least 16")
+    if n < MIN_GRID_N:
+        raise ValueError(f"grid size must be at least {MIN_GRID_N}")
     found: list[np.ndarray] = []
     gen = rng.generator()
     for attempt in range(3):
@@ -369,34 +341,6 @@ def ac_deflated_solve(
     return sols
 
 
-# ----------------------------------------------------------------------
-# latent-field linearization
-# ----------------------------------------------------------------------
-
-def z_from_u(u, delta: float, points=None) -> LatentField:
-    """Latent values ``z = -u^3 / delta``.
-
-    Pass a :class:`GridSolution` together with the interior design points
-    to evaluate the solution there by bilinear interpolation first;
-    plain arrays are mapped elementwise.
-    """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if isinstance(u, GridSolution):
-        if points is None:
-            raise ValueError("interpolating a grid solution needs target points")
-        vals = u.interpolate(points)
-    else:
-        vals = np.asarray(u, dtype=float).reshape(-1)
-    return LatentField(-vals**3 / delta)
-
-
-def u_from_z(z, delta: float) -> np.ndarray:
-    """Invert the latent map: the signed cube root of ``-delta z``."""
-    zv = z.z_values if isinstance(z, LatentField) else np.asarray(z, dtype=float)
-    return np.cbrt(-delta * zv)
-
-
 @dataclass(frozen=True)
 class ACDesign:
     """Design points for the linearized Allen-Cahn forward solve."""
@@ -420,22 +364,3 @@ def ac_design(interior_per_axis: int = 5, per_edge: int = 5) -> ACDesign:
     interior = interior_grid_2d(interior_per_axis)
     boundary = edge_points_2d(per_edge)
     return ACDesign(interior, boundary, ac_boundary_values(boundary))
-
-
-def linearized_ac_blocks(delta: float, z, design: ACDesign) -> list:
-    """Observation blocks of the latent-linearized system.
-
-    Given ``z`` at the interior design points, the solver sees the
-    interior operator equation with right-hand side ``z``, identity data
-    ``u = cbrt(-delta z)`` at the same points, and the fixed boundary
-    values.
-    """
-    zv = z.z_values if isinstance(z, LatentField) else np.asarray(z, dtype=float).reshape(-1)
-    if len(zv) != len(design.interior_points):
-        raise ValueError("latent field length does not match the interior design")
-    op = OperatorTag.affine_interior(delta, -1.0 / delta)
-    return [
-        ObservationBlock(op, design.interior_points, zv),
-        ObservationBlock(OperatorTag.identity(), design.interior_points, u_from_z(zv, delta)),
-        ObservationBlock(OperatorTag.boundary_trace(), design.boundary_points, design.boundary_rhs),
-    ]

@@ -1,0 +1,126 @@
+"""Reference oracles that the tests compare the package against.
+
+``fd_check`` rebuilds the closed-form operator kernels of
+``pmm.kernels.op_gram`` from finite differences of the plain kernel, and
+``linearized_ac_blocks`` states the latent-linearized Allen-Cahn system as
+observation blocks for the public forward solver, which is what
+``pmm.inverse.pm_loglik`` fills in one joint matrix.
+"""
+
+import numpy as np
+
+from pmm.forward import ObservationBlock
+from pmm.kernels import OperatorTag, SqExpKernel, UnsupportedOperatorPair, op_gram
+
+
+def order(tag: OperatorTag) -> int:
+    """Differential order (2 when the Laplacian term is active)."""
+    return 2 if tag.a != 0.0 else 0
+
+
+def _point(x, dim: int) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(-1, dim)[0]
+
+
+def _kernel(k: SqExpKernel, x, y) -> float:
+    """``k(x, y)`` at a single pair of points."""
+    r2 = float(np.sum((_point(x, k.dim) - _point(y, k.dim)) ** 2))
+    return float(np.exp(-0.5 * r2 / k.lengthscale**2))
+
+
+def default_fd_step(left: OperatorTag, right: OperatorTag, k) -> float:
+    """A finite-difference step suited to the operator pair and kernel.
+
+    Fourth-order stencils balance truncation against cancellation when the
+    step scales with the lengthscale; second-order stencils are far less
+    delicate. The result always lies in the admissible window
+    ``[1e-5, 1e-3]``.
+    """
+    if isinstance(k, SqExpKernel) and order(left) + order(right) >= 4:
+        return float(np.clip(7e-4 * k.lengthscale, 1e-5, 1e-3))
+    return 1e-4
+
+
+def fd_check(
+    left: OperatorTag,
+    right: OperatorTag,
+    k: SqExpKernel,
+    x,
+    y,
+    h_fd: float,
+) -> float:
+    """Relative error of a finite-difference oracle against the closed form.
+
+    The operator images are rebuilt from nested central second differences
+    of the plain kernel, evaluated in extended precision (fourth-order
+    stencils at steps near 1e-3 lose more than four digits to cancellation
+    in double precision). The error is measured relative to
+    ``max(|closed form|, 0.01 * scale)``, where ``scale`` is the natural
+    magnitude of the operator pair at the evaluation point; the floor
+    guards zero crossings of the polynomial factor.
+    """
+    if not isinstance(k, SqExpKernel):
+        raise UnsupportedOperatorPair("fd_check targets the squared-exponential closed forms")
+    if not 1e-5 <= h_fd <= 1e-3:
+        raise ValueError("h_fd must lie in [1e-5, 1e-3]")
+    if order(left) == 0 and order(right) == 0:
+        # a zeroth-order stencil is the function value itself
+        fd0 = left.c * right.c * _kernel(k, x, y)
+        value = float(op_gram(left, right, k, x, y)[0, 0])
+        return abs(fd0 - value) / max(abs(value), 1e-300)
+    d = k.dim
+    ld = np.longdouble
+    xv = _point(x, d).astype(ld)
+    yv = _point(y, d).astype(ld)
+    h = ld(h_fd)
+    ell2 = ld(k.lengthscale) ** 2
+
+    def kf(a, b):
+        return np.exp(-np.sum((a - b) ** 2) / (2.0 * ell2))
+
+    def op_y(a, b):
+        val = right.c * kf(a, b) if right.c != 0.0 else ld(0.0)
+        if right.a != 0.0:
+            acc = ld(0.0)
+            for i in range(d):
+                e = np.zeros(d, dtype=ld)
+                e[i] = h
+                acc += kf(a, b + e) - 2.0 * kf(a, b) + kf(a, b - e)
+            val = val + right.a * (-acc / h**2)
+        return val
+
+    fd = left.c * op_y(xv, yv) if left.c != 0.0 else ld(0.0)
+    if left.a != 0.0:
+        acc = ld(0.0)
+        for i in range(d):
+            e = np.zeros(d, dtype=ld)
+            e[i] = h
+            acc += op_y(xv + e, yv) - 2.0 * op_y(xv, yv) + op_y(xv - e, yv)
+        fd = fd + left.a * (-acc / h**2)
+
+    value = float(op_gram(left, right, k, x, y)[0, 0])
+    kval = _kernel(k, x, y)
+    mag = kval
+    for tag in (left, right):
+        mag *= abs(tag.c) + abs(tag.a) * (d + 2) / k.lengthscale**2
+    denom = max(abs(value), 0.01 * mag)
+    return float(abs(float(fd) - value) / denom)
+
+
+def linearized_ac_blocks(delta: float, z, design) -> list:
+    """Observation blocks of the latent-linearized Allen-Cahn system.
+
+    Given ``z`` at the interior design points of an ``ACDesign``, the
+    solver sees the interior operator equation with right-hand side ``z``,
+    identity data ``u = cbrt(-delta z)`` at the same points, and the fixed
+    boundary values.
+    """
+    zv = np.asarray(z, dtype=float).reshape(-1)
+    if len(zv) != len(design.interior_points):
+        raise ValueError("latent field length does not match the interior design")
+    op = OperatorTag.affine_interior(delta, -1.0 / delta)
+    return [
+        ObservationBlock(op, design.interior_points, zv),
+        ObservationBlock(OperatorTag.identity(), design.interior_points, np.cbrt(-delta * zv)),
+        ObservationBlock(OperatorTag.boundary_trace(), design.boundary_points, design.boundary_rhs),
+    ]

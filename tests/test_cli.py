@@ -54,6 +54,30 @@ class TestConfig:
         code = main(["converge", "--output-dir", str(tmp_path), "--bogus", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("experiment,args", [
+        ("forward-demo", ["--m_values", "0"]),
+        ("forward-demo", ["--m_values", ""]),
+        ("converge", ["--m_list", ""]),
+        ("converge", ["--m_list", "10,5"]),
+        ("converge", ["--m_list", "5,5"]),
+        ("inverse-1d", ["--m_list", "8,4"]),
+        ("inverse-1d", ["--m_list", "0,4"]),
+        ("inverse-1d", ["--grid_n", "10"]),
+        ("allen-cahn", ["--grid_n", "8"]),
+        ("allen-cahn", ["--data_grid_n", "15"]),
+        ("allen-cahn", ["--m_particles", "0"]),
+        ("allen-cahn", ["--noise_correlation", "1"]),
+        ("allen-cahn", ["--noise_correlation", "-0.1"]),
+        ("allen-cahn", ["--interior_per_axis", "0"]),
+        ("allen-cahn", ["--per_edge", "0"]),
+        ("allen-cahn", ["--data_per_axis", "0"]),
+        ("allen-cahn", ["--data_branch", "0"]),
+    ])
+    def test_out_of_range_value_rejected_before_any_solve(self, tmp_path, experiment, args):
+        out = tmp_path / "out"
+        assert main([experiment, "--output-dir", str(out), *args]) == 2
+        assert not out.exists()
+
 
 class TestForwardDemo:
     def test_outputs(self, tmp_path):
@@ -141,6 +165,15 @@ class TestAllenCahn:
         assert len(rows) == 40
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert "noise_sigma" in manifest["metadata"]
+
+    def test_missing_data_branch_is_a_numerical_failure(self, tmp_path, capsys):
+        # the data solve finds three branches; a fourth and beyond do not exist
+        out = str(tmp_path)
+        code = main(["allen-cahn", "--output-dir", out, *FAST_AC, "--data_branch", "7"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "stage 'data generation'" in err and "SolutionIndexOutOfRange" in err
+        assert not os.path.exists(os.path.join(out, "data.csv"))
 
 
 class TestManifestRerun:

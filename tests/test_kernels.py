@@ -1,37 +1,41 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from pmm.forward import edge_points_2d, interior_grid_2d
 from pmm.kernels import (
     EmptyDesign,
     GreensKernel1D,
     OperatorTag,
-    SmoothnessMeta,
     SqExpKernel,
     UnsupportedOperatorPair,
-    default_fd_step,
-    fd_check,
     fill_distance,
-    kernel_eval,
     op_gram,
-    op_kernel_eval,
     unit_interval_probe,
     unit_square_probe,
 )
 from pmm.linalg import chol_jitter
+from pmm.problems import Poisson1D
+from reference import default_fd_step, fd_check
 
 ID = OperatorTag.identity()
-NL = OperatorTag.neg_laplacian()
+NL = OperatorTag.affine_interior(1.0, 0.0)
 BT = OperatorTag.boundary_trace()
 TAGS = [ID, NL, OperatorTag.affine_interior(0.7, -2.0), OperatorTag.affine_interior(0.04, -25.0)]
 
 
+def entry(left, right, k, x, y) -> float:
+    """``(left_x right_y k)(x, y)`` at one pair of points."""
+    return float(op_gram(left, right, k, x, y)[0, 0])
+
+
 class TestKernelEval:
     def test_zero_distance(self):
-        assert kernel_eval(SqExpKernel(0.3), 0.4, 0.4) == 1.0
+        assert entry(ID, ID, SqExpKernel(0.3), 0.4, 0.4) == 1.0
 
     def test_plug_in(self):
         # |x - y| = sqrt(2), l = 1  ->  exp(-1)
-        val = kernel_eval(SqExpKernel(1.0), 0.0, np.sqrt(2.0))
+        val = entry(ID, ID, SqExpKernel(1.0), 0.0, np.sqrt(2.0))
         assert val == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_symmetry_random_pairs(self):
@@ -40,9 +44,9 @@ class TestKernelEval:
         k2 = SqExpKernel(0.7, dim=2)
         for _ in range(100):
             x, y = rng.uniform(0, 1, 2)
-            assert kernel_eval(k1, x, y) == kernel_eval(k1, y, x)
+            assert entry(ID, ID, k1, x, y) == entry(ID, ID, k1, y, x)
             p, q = rng.uniform(0, 1, (2, 2))
-            assert kernel_eval(k2, p, q) == kernel_eval(k2, q, p)
+            assert entry(ID, ID, k2, p, q) == entry(ID, ID, k2, q, p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -52,15 +56,9 @@ class TestKernelEval:
 
 
 class TestOperatorTag:
-    def test_variants(self):
-        assert ID.variant == "Identity"
-        assert NL.variant == "NegLaplacian(1)"
-        assert BT.variant == "BoundaryTrace"
-        assert OperatorTag.affine_interior(2.0, 1.0).variant == "AffineInterior(a=2, c=1)"
-
     def test_boundary_trace_is_identity(self):
         k = SqExpKernel(0.5)
-        assert op_kernel_eval(BT, ID, k, 0.2, 0.7) == op_kernel_eval(ID, ID, k, 0.2, 0.7)
+        assert entry(BT, ID, k, 0.2, 0.7) == entry(ID, ID, k, 0.2, 0.7)
 
     def test_invalid_boundary_tag(self):
         with pytest.raises(ValueError):
@@ -70,14 +68,15 @@ class TestOperatorTag:
 class TestOpKernelEval:
     def test_identity_pair_matches_kernel(self):
         k = SqExpKernel(0.4)
-        assert op_kernel_eval(ID, ID, k, 0.1, 0.9) == kernel_eval(k, 0.1, 0.9)
+        want = np.exp(-0.5 * (0.9 - 0.1) ** 2 / 0.4**2)
+        assert entry(ID, ID, k, 0.1, 0.9) == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("ell", [0.3, 1.0, 1.7])
     def test_coincident_anchors(self, ell):
         # symbolic values at x = y in 1D: 1/l^2 and 3/l^4
         k = SqExpKernel(ell)
-        assert op_kernel_eval(NL, ID, k, 0.5, 0.5) == pytest.approx(1 / ell**2, rel=1e-10)
-        assert op_kernel_eval(NL, NL, k, 0.5, 0.5) == pytest.approx(3 / ell**4, rel=1e-10)
+        assert entry(NL, ID, k, 0.5, 0.5) == pytest.approx(1 / ell**2, rel=1e-10)
+        assert entry(NL, NL, k, 0.5, 0.5) == pytest.approx(3 / ell**4, rel=1e-10)
 
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
@@ -96,12 +95,12 @@ class TestOpKernelEval:
                 ref1 = apply_tag(apply_tag(expr1, right, [y1]), left, [x1])
                 ref2 = apply_tag(apply_tag(expr2, right, [y1, y2]), left, [x1, x2])
                 xa, ya = rng.uniform(0, 1, 2)
-                got = op_kernel_eval(left, right, SqExpKernel(ell, 1), xa, ya)
+                got = entry(left, right, SqExpKernel(ell, 1), xa, ya)
                 want = float(ref1.subs({x1: xa, y1: ya}))
                 assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
                 p = rng.uniform(0, 1, 2)
                 q = rng.uniform(0, 1, 2)
-                got = op_kernel_eval(left, right, SqExpKernel(ell, 2), p, q)
+                got = entry(left, right, SqExpKernel(ell, 2), p, q)
                 want = float(ref2.subs({x1: p[0], x2: p[1], y1: q[0], y2: q[1]}))
                 assert got == pytest.approx(want, rel=1e-11, abs=1e-13)
 
@@ -113,7 +112,7 @@ class TestOpKernelEval:
                 for right in TAGS:
                     x = rng.uniform(0, 1, dim)
                     y = rng.uniform(0, 1, dim)
-                    assert op_kernel_eval(left, right, k, x, y) == op_kernel_eval(
+                    assert entry(left, right, k, x, y) == entry(
                         right, left, k, y, x
                     )
 
@@ -169,7 +168,7 @@ class TestGramPsd:
             gram = np.empty((20, 20))
             for i in range(20):
                 for j in range(20):
-                    gram[i, j] = op_kernel_eval(tags[i], tags[j], k, pts[i], pts[j])
+                    gram[i, j] = entry(tags[i], tags[j], k, pts[i], pts[j])
             f = chol_jitter(gram)
             assert f.jitter_used <= 1e-6 * np.mean(np.diag(gram))
 
@@ -201,6 +200,20 @@ class TestFillDistance:
         with pytest.raises(EmptyDesign):
             fill_distance(np.empty((0, 1)), unit_interval_probe())
 
+    def test_matches_kd_tree_query(self):
+        # the brute-force minimum equals scipy's nearest-neighbour query bit
+        # for bit, on every design of the converge experiment and on 2D designs
+        cases = [
+            (np.vstack([b.points for b in Poisson1D().blocks(m, design)]), unit_interval_probe())
+            for m in (5, 10, 20, 40, 80) for design in ("uniform", "nested")
+        ]
+        rng = np.random.default_rng(7)
+        cases += [(pts, unit_square_probe()) for pts in (
+            np.vstack([interior_grid_2d(5), edge_points_2d(5)]), rng.uniform(0, 1, (30, 2)))]
+        for design, probe in cases:
+            want = float(np.max(cKDTree(design).query(probe)[0]))
+            assert fill_distance(design, probe) == want
+
 
 class TestGreensKernel:
     def test_refinement(self):
@@ -223,7 +236,7 @@ class TestGreensKernel:
         k = GreensKernel1D(256)
         for x, y in [(0.3, 0.3), (0.2, 0.7), (0.5, 0.9)]:
             ref = np.trapezoid(g(x) * g(y), z)
-            assert k(x, y) == pytest.approx(ref, rel=2e-4)
+            assert entry(ID, ID, k, x, y) == pytest.approx(ref, rel=2e-4)
 
     def test_symmetric_and_psd(self):
         k = GreensKernel1D()
@@ -235,27 +248,17 @@ class TestGreensKernel:
 
     def test_boundary_features_vanish(self):
         k = GreensKernel1D()
-        assert k(0.0, 0.5) == 0.0
-        assert k(1.0, 1.0) == 0.0
+        assert entry(ID, ID, k, 0.0, 0.5) == 0.0
+        assert entry(ID, ID, k, 1.0, 1.0) == 0.0
 
     def test_operator_image_approximates_greens_function(self):
         # (-d2/dx2 applied to the first argument) k(x, y) ~= G(y, x)
         k = GreensKernel1D(512)
         for x, y in [(0.3, 0.7), (0.6, 0.2)]:
-            val = op_kernel_eval(NL, ID, k, x, y)
+            val = entry(NL, ID, k, x, y)
             ref = min(x, y) * (1 - max(x, y))
             assert val == pytest.approx(ref, rel=5e-3)
 
     def test_node_count_validation(self):
         with pytest.raises(ValueError):
             GreensKernel1D(7)
-
-
-class TestSmoothnessMeta:
-    def test_sqexp_is_unbounded(self):
-        meta = SmoothnessMeta(beta=np.inf, rho=2, d=2)
-        assert meta.contraction_exponent == np.inf
-
-    def test_contraction_condition_enforced(self):
-        with pytest.raises(ValueError):
-            SmoothnessMeta(beta=2.0, rho=2, d=1)

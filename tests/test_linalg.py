@@ -185,9 +185,5 @@ class TestRngStream:
         b = RngStream(7, 3).generator().standard_normal(10)
         np.testing.assert_array_equal(a, b)
 
-    def test_substream(self):
-        s = RngStream(7).substream(9)
-        assert (s.seed, s.stream_id) == (7, 9)
-
     def test_negative_seed_ok(self):
         RngStream(-12345).generator().standard_normal(3)

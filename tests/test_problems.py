@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
-from pmm.forward import interior_grid_2d, solve_forward
+from pmm.forward import edge_points_2d, interior_grid_2d, solve_forward
+from pmm.inverse import ACInverseSetup, CoarseSolutionCache
 from pmm.kernels import SqExpKernel
 from pmm.linalg import RngStream
 from pmm.problems import (
-    AllenCahnSpec,
+    DELTA_RANGE,
     GridSolution,
-    LatentField,
     Poisson1D,
     ac_boundary_values,
     ac_deflated_solve,
     ac_design,
     ac_residual,
     generate_data,
-    linearized_ac_blocks,
     poisson_exact,
-    u_from_z,
-    z_from_u,
 )
+from reference import linearized_ac_blocks
 
 
 def fd_poisson_solve(theta, n_cells=10_000):
@@ -149,40 +148,25 @@ class TestDeflatedSolve:
             ac_deflated_solve(0.04, 8, RngStream(0))
 
     def test_spec_delta_range(self):
+        assert DELTA_RANGE == (0.02, 0.15)
         with pytest.raises(ValueError):
-            AllenCahnSpec(0.2)
-        AllenCahnSpec(0.04)
+            ac_deflated_solve(0.2, 31, RngStream(0))
+        with pytest.raises(ValueError):
+            ac_deflated_solve(0.019, 31, RngStream(0))
 
 
 class TestLatentMap:
-    def test_zero(self):
-        z = z_from_u(np.array([0.0]), 0.04)
-        assert z.z_values[0] == 0.0
-
-    def test_reference_value(self):
-        # u = 1, delta = 0.04  ->  z = -25
-        z = z_from_u(np.array([1.0]), 0.04)
-        assert z.z_values[0] == pytest.approx(-25.0, rel=1e-14)
-
-    def test_round_trip(self):
-        u = np.linspace(-1.5, 1.5, 41)
-        z = z_from_u(u, 0.07)
-        np.testing.assert_allclose(u_from_z(z, 0.07), u, atol=1e-12)
-
-    def test_signed_cube_root_odd(self):
-        z = np.array([2.0, -3.5, 0.7])
-        np.testing.assert_array_equal(u_from_z(-z, 0.05), -u_from_z(z, 0.05))
-
     def test_grid_solution_interpolation(self):
-        sols = ac_deflated_solve(0.04, 31, RngStream(0))
-        pts = interior_grid_2d(5)
-        z = z_from_u(sols[0], 0.04, pts)
-        direct = -sols[0].interpolate(pts) ** 3 / 0.04
-        np.testing.assert_allclose(z.z_values, direct)
-
-    def test_latent_field_validation(self):
-        with pytest.raises(ValueError):
-            LatentField(np.array([np.inf]))
+        # the latent centre -u^3/delta of a coarse branch is its grid
+        # solution interpolated at the interior design points, cubed and
+        # scaled by the requested delta rather than its cache cell's
+        cache = CoarseSolutionCache(16, 0.05)
+        setup = ACInverseSetup(design=ac_design(5, 5), data_locations=interior_grid_2d(3),
+                               cache=cache)
+        pts = setup.design.interior_points
+        for j, sol in enumerate(cache.solutions(0.04), start=1):
+            direct = -sol.interpolate(pts) ** 3 / 0.04
+            np.testing.assert_array_equal(setup.latent_centre(0.04, j), direct)
 
 
 class TestLinearizedBlocks:
@@ -191,7 +175,7 @@ class TestLinearizedBlocks:
         # interior equation (which equals zero at a solution's latent field)
         design = ac_design(4, 4)
         rng = np.random.default_rng(3)
-        z = LatentField(rng.uniform(-20, 20, len(design.interior_points)))
+        z = rng.uniform(-20, 20, len(design.interior_points))
         delta = 0.05
         b1, b2, b3 = linearized_ac_blocks(delta, z, design)
         recombined = b1.rhs + b2.rhs**3 / delta
@@ -199,15 +183,16 @@ class TestLinearizedBlocks:
 
     def test_boundary_rhs_signs(self):
         design = ac_design(3, 4)
-        b3 = linearized_ac_blocks(0.05, LatentField(np.zeros(9)), design)[2]
-        on_x1 = (b3.points[:, 0] == 0.0) | (b3.points[:, 0] == 1.0)
-        np.testing.assert_array_equal(b3.rhs[on_x1], 1.0)
-        np.testing.assert_array_equal(b3.rhs[~on_x1], -1.0)
+        pts = design.boundary_points
+        on_x1 = (pts[:, 0] == 0.0) | (pts[:, 0] == 1.0)
+        assert on_x1.sum() == 8 and len(pts) == 16
+        np.testing.assert_array_equal(design.boundary_rhs[on_x1], 1.0)
+        np.testing.assert_array_equal(design.boundary_rhs[~on_x1], -1.0)
 
     def test_operator_coefficients(self):
         design = ac_design(3, 3)
         delta = 0.04
-        b1 = linearized_ac_blocks(delta, LatentField(np.zeros(9)), design)[0]
+        b1 = linearized_ac_blocks(delta, np.zeros(9), design)[0]
         assert b1.op.a == delta
         assert b1.op.c == pytest.approx(-1.0 / delta)
 
@@ -218,7 +203,7 @@ class TestLinearizedBlocks:
         sols = ac_deflated_solve(delta, 31, RngStream(0))
         sol = sols[0]
         design = ac_design(7, 5)
-        z = z_from_u(sol, delta, design.interior_points)
+        z = -sol.interpolate(design.interior_points) ** 3 / delta
         post = solve_forward(linearized_ac_blocks(delta, z, design), SqExpKernel(0.08, dim=2))
         coords = sol.coords
         pts = np.column_stack([np.repeat(coords, sol.n), np.tile(coords, sol.n)])
@@ -243,3 +228,29 @@ class TestGridSolution:
         with pytest.raises(ValueError):
             GridSolution(n=2, u=np.full((2, 2), 2.0), solution_index=1,
                          residual_norm=0.0, delta=0.04)
+
+    def test_interpolate_matches_scipy(self):
+        # the numpy bilinear form equals scipy's RegularGridInterpolator bit
+        # for bit on the padded lattice: at the design and data points, at
+        # the lattice nodes and the boundary, and at random points
+        n = 31
+        rng = np.random.default_rng(11)
+        sol = GridSolution(n=n, u=rng.uniform(-1.2, 1.2, (n, n)), solution_index=1,
+                           residual_norm=0.0, delta=0.04)
+        full = np.zeros((n + 2, n + 2))
+        full[1:-1, 1:-1] = sol.u
+        full[1:-1, 0] = full[1:-1, -1] = 1.0
+        full[0, 1:-1] = full[-1, 1:-1] = -1.0
+        coords = np.concatenate([[0.0], sol.coords, [1.0]])
+        reference = RegularGridInterpolator((coords, coords), full.T)
+        nodes = np.column_stack([np.repeat(coords, n + 2), np.tile(coords, n + 2)])
+        for pts in (interior_grid_2d(5), edge_points_2d(5), interior_grid_2d(4), nodes,
+                    rng.uniform(0.0, 1.0, (5000, 2))):
+            np.testing.assert_array_equal(sol.interpolate(pts), reference(pts))
+
+    def test_interpolate_outside_square_raises(self):
+        sol = GridSolution(n=2, u=np.zeros((2, 2)), solution_index=1,
+                           residual_norm=0.0, delta=0.04)
+        for pt in ([1.01, 0.5], [0.5, -0.01], [np.nan, 0.5]):
+            with pytest.raises(ValueError):
+                sol.interpolate(np.array([pt]))
