@@ -549,11 +549,17 @@ def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *
     discretisation-error term, so the resulting posterior reflects only
     the observation noise. The chain is ``_mh_chain`` with theta = (delta,)
     and this deterministic likelihood; the ell column is NaN.
+
+    The likelihood depends on delta only through its cache cell, so it is
+    evaluated once per (cell, j) entry of the branch table, before the
+    chain starts.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
+    table = {key: mvn_logpdf(y, at_data, noise.cov)
+             for key, (_, at_data) in setup._branches.items()}
 
     def loglik(theta, j, xi):
-        return mvn_logpdf(y, setup.branch_values(theta[0], j)[1], noise.cov)
+        return table[setup.cache._cell(theta[0]), j]
 
     thetas, js, lls, accepted, calls = _mh_chain(
         lambda theta: delta_prior.logpdf(theta[0]), loglik,

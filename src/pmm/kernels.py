@@ -185,7 +185,7 @@ class GreensKernel1D:
 
     dim = 1
 
-    def __init__(self, quadrature_nodes: int = 256, fd_step: float | None = None):
+    def __init__(self, quadrature_nodes: int = 256):
         if quadrature_nodes < 8 or quadrature_nodes % 2:
             raise ValueError("quadrature_nodes must be an even count >= 8")
         self.quadrature_nodes = quadrature_nodes
@@ -196,7 +196,6 @@ class GreensKernel1D:
         mid = 0.5 * (edges[1:] + edges[:-1])
         self._z = (half[:, None] * gx[None, :] + mid[:, None]).ravel()
         self._sqw = np.sqrt((half[:, None] * gw[None, :]).ravel())
-        self.fd_step = float(fd_step) if fd_step else 2.0 / quadrature_nodes
 
     def _g(self, x: np.ndarray) -> np.ndarray:
         xc = x[:, None]
@@ -208,7 +207,7 @@ class GreensKernel1D:
         x = _as_points(X, 1)[:, 0]
         out = tag.c * self._g(x) if tag.c != 0.0 else 0.0
         if tag.a != 0.0:
-            h = self.fd_step
+            h = 2.0 / self.quadrature_nodes  # the width of one quadrature panel
             lap = (self._g(x + h) - 2.0 * self._g(x) + self._g(x - h)) / h**2
             out = out + tag.a * (-lap)
         return np.asarray(out) * self._sqw[None, :]

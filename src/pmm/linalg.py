@@ -74,21 +74,18 @@ def _as_sym_matrix(m) -> np.ndarray:
     return m
 
 
-def chol_jitter(m, jitter_min: float | None = None, jitter_max: float | None = None) -> CholFactor:
+def chol_jitter(m) -> CholFactor:
     """Cholesky factorization with a geometric jitter schedule.
 
     Attempts ``L L^T = m`` directly, then retries with ``m + j I`` for
-    ``j = jitter_min, 10 jitter_min, ...`` up to ``jitter_max``. The
-    defaults are scale-free: ``jitter_min = 1e-10 * mean(diag(m))`` and
-    ``jitter_max = 1e-2 * mean(diag(m))`` (with unit scale substituted
-    when the diagonal mean is not positive).
+    ``j = 1e-10 s, 1e-9 s, ...`` up to ``1e-2 s``. The schedule is
+    scale-free: ``s = mean(diag(m))``, with unit scale substituted when
+    the diagonal mean is not positive.
 
     Parameters
     ----------
     m : ndarray, shape (n, n)
         Symmetric matrix to factor.
-    jitter_min, jitter_max : float, optional
-        Explicit schedule bounds; both must be positive when given.
 
     Returns
     -------
@@ -108,12 +105,8 @@ def chol_jitter(m, jitter_min: float | None = None, jitter_max: float | None = N
     scale = float(np.mean(np.diag(m)))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
-    if jitter_min is None:
-        jitter_min = 1e-10 * scale
-    if jitter_max is None:
-        jitter_max = 1e-2 * scale
-    if jitter_min <= 0.0:
-        raise ValueError("jitter_min must be positive")
+    jitter_min = 1e-10 * scale
+    jitter_max = 1e-2 * scale
 
     n = m.shape[0]
     jitter = 0.0

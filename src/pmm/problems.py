@@ -14,11 +14,9 @@ which is what lets the Gaussian forward solver handle a cubic problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv
 
 from .forward import (
     ObservationBlock,
@@ -46,6 +44,7 @@ __all__ = [
 
 DELTA_RANGE = (0.02, 0.15)
 MIN_GRID_N = 16  # fewest interior nodes per axis that ac_deflated_solve accepts
+_NEWTON_TOL = 1e-11  # sup-norm residual at which a Newton run has converged
 
 # boundary values on the unit square: +1 where x1 hits an edge, -1 where x2 does
 _AC_BOUNDARY = (1.0, 1.0, -1.0, -1.0)  # (x1=0, x1=1, x2=0, x2=1)
@@ -178,16 +177,15 @@ class GridSolution:
                 + v[i + 1, j] * y0 * (1 - y1) + v[i + 1, j + 1] * y0 * y1)
 
 
-@lru_cache(maxsize=8)
-def _ac_operators(n: int):
-    """5-point Laplacian on the interior lattice and the boundary source term."""
-    h = 1.0 / (n + 1)
-    main = -4.0 * np.ones(n * n)
-    ex = np.ones(n * n - 1)
-    ex[np.arange(1, n * n) % n == 0] = 0.0
-    ey = np.ones(n * n - n)
-    lap = sp.diags([main, ex, ex, ey, ey], [0, 1, -1, n, -n], format="csr") / h**2
-    return lap, h
+def _lap(u: np.ndarray, n: int, h: float) -> np.ndarray:
+    """5-point Laplacian of flat interior values ``u``, zero boundary data."""
+    v = u.reshape(n, n)
+    out = -4.0 * v
+    out[1:] += v[:-1]
+    out[:-1] += v[1:]
+    out[:, 1:] += v[:, :-1]
+    out[:, :-1] += v[:, 1:]
+    return out.ravel() / h**2
 
 
 def _boundary_source(n: int, h: float, boundary=_AC_BOUNDARY) -> np.ndarray:
@@ -213,9 +211,9 @@ def ac_residual(u, delta: float, boundary=None) -> np.ndarray:
     n = int(round(np.sqrt(flat.size)))
     if n * n != flat.size:
         raise ValueError("u must hold an N-by-N interior lattice")
-    lap, h = _ac_operators(n)
+    h = 1.0 / (n + 1)
     bsrc = _boundary_source(n, h, boundary or _AC_BOUNDARY)
-    res = -delta * (lap @ flat + bsrc) + (flat**3 - flat) / delta
+    res = -delta * (_lap(flat, n, h) + bsrc) + (flat**3 - flat) / delta
     return res.reshape(shape)
 
 
@@ -232,19 +230,47 @@ def _deflation(u, roots, power=2.0, shift=1.0):
     return m, grad
 
 
-def _newton_ac(delta, n, u0, roots, damping, tol, maxiter=200):
-    lap, h = _ac_operators(n)
+def _jacobian_band(delta: float, n: int) -> np.ndarray:
+    """``-delta lap`` in LAPACK general-band storage with kl = ku = n.
+
+    Entry ``A[i, k]`` sits at ``[2n + i - k, k]``; the top n rows are the
+    room that partial pivoting needs, and row 2n is the main diagonal.
+    """
+    h = 1.0 / (n + 1)
+    nn = n * n
+    off = -delta / h**2
+    same_row = np.arange(1, nn) % n != 0  # nodes k-1, k on one lattice row
+    band = np.zeros((3 * n + 1, nn), order="F")
+    band[n, n:] = off                       # A[k - n, k]
+    band[2 * n - 1, 1:] = off * same_row    # A[k - 1, k]
+    band[2 * n] = 4.0 * delta / h**2        # A[k, k]
+    band[2 * n + 1, :-1] = off * same_row   # A[k + 1, k]
+    band[3 * n, :-n] = off                  # A[k + n, k]
+    return band
+
+
+def _jacobian_solve(band: np.ndarray, u: np.ndarray, delta: float, rhs: np.ndarray):
+    """Solve ``J x = rhs`` for the Jacobian ``-delta lap + diag((3u^2 - 1)/delta)``
+    at ``u`` by one banded LU; None when the Jacobian is singular."""
+    n = (band.shape[0] - 1) // 3
+    ab = band.copy(order="F")
+    ab[2 * n] += (3.0 * u**2 - 1.0) / delta
+    _, _, x, info = dgbsv(n, n, ab, rhs, overwrite_ab=True)
+    return x if info == 0 else None
+
+
+def _newton_ac(delta, n, u0, roots, damping, maxiter=200):
+    h = 1.0 / (n + 1)
     bsrc = _boundary_source(n, h)
+    band = _jacobian_band(delta, n)
     u = u0.copy()
     for _ in range(maxiter):
-        res = -delta * (lap @ u + bsrc) + (u**3 - u) / delta
+        res = -delta * (_lap(u, n, h) + bsrc) + (u**3 - u) / delta
         rnorm = float(np.max(np.abs(res)))
-        if rnorm < tol:
+        if rnorm < _NEWTON_TOL:
             return u, True
-        jac = -delta * lap + sp.diags((3.0 * u**2 - 1.0) / delta)
-        try:
-            step = splu(jac.tocsc()).solve(-res)
-        except RuntimeError:
+        step = _jacobian_solve(band, u, delta, -res)
+        if step is None:
             return u, False
         if roots:
             m, grad = _deflation(u, roots)
@@ -257,7 +283,7 @@ def _newton_ac(delta, n, u0, roots, damping, tol, maxiter=200):
         for _ in range(12):
             cand = u + alpha * step
             if np.all(np.isfinite(cand)):
-                rnew = -delta * (lap @ cand + bsrc) + (cand**3 - cand) / delta
+                rnew = -delta * (_lap(cand, n, h) + bsrc) + (cand**3 - cand) / delta
                 if float(np.max(np.abs(rnew))) < rnorm or rnorm < 1e-6:
                     break
             alpha *= 0.5
@@ -285,7 +311,6 @@ def ac_deflated_solve(
     n: int,
     rng: RngStream,
     damping: float = 1.0,
-    newton_tol: float = 1e-11,
     seeds=(),
 ) -> list:
     """All distinct solutions of the discrete Allen-Cahn system.
@@ -316,7 +341,7 @@ def ac_deflated_solve(
         for guess in cand:
             if len(found) >= 3:
                 break
-            u, ok = _newton_ac(delta, n, guess, found, damping, newton_tol)
+            u, ok = _newton_ac(delta, n, guess, found, damping)
             if ok and np.max(np.abs(u)) <= 1.5 and all(
                 np.max(np.abs(u - s)) > 0.1 for s in found
             ):

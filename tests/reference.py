@@ -4,10 +4,14 @@
 ``pmm.kernels.op_gram`` from finite differences of the plain kernel, and
 ``linearized_ac_blocks`` states the latent-linearized Allen-Cahn system as
 observation blocks for the public forward solver, which is what
-``pmm.inverse.pm_loglik`` fills in one joint matrix.
+``pmm.inverse.pm_loglik`` fills in one joint matrix. ``sparse_laplacian``
+and ``sparse_ac_jacobian`` assemble the coarse Allen-Cahn operators as
+``scipy.sparse`` matrices, against which the package's stencil and banded
+Newton solve are checked.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from pmm.forward import ObservationBlock
 from pmm.kernels import OperatorTag, SqExpKernel, UnsupportedOperatorPair, op_gram
@@ -124,3 +128,20 @@ def linearized_ac_blocks(delta: float, z, design) -> list:
         ObservationBlock(OperatorTag.identity(), design.interior_points, np.cbrt(-delta * zv)),
         ObservationBlock(OperatorTag.boundary_trace(), design.boundary_points, design.boundary_rhs),
     ]
+
+
+def sparse_laplacian(n: int):
+    """5-point Laplacian on the N-by-N interior lattice, zero boundary data, CSR."""
+    h = 1.0 / (n + 1)
+    main = -4.0 * np.ones(n * n)
+    ex = np.ones(n * n - 1)
+    ex[np.arange(1, n * n) % n == 0] = 0.0
+    ey = np.ones(n * n - n)
+    return sp.diags([main, ex, ex, ey, ey], [0, 1, -1, n, -n], format="csr") / h**2
+
+
+def sparse_ac_jacobian(u, delta: float):
+    """Jacobian ``-delta lap + diag((3u^2 - 1)/delta)`` of the Allen-Cahn residual, CSC."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    n = int(round(np.sqrt(u.size)))
+    return (-delta * sparse_laplacian(n) + sp.diags((3.0 * u**2 - 1.0) / delta)).tocsc()

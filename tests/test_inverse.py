@@ -506,6 +506,21 @@ class TestPluginChain:
         bound = 3.0 * 0.5 * se.sum()
         assert tv < bound, f"TV {tv:.4f} from the exact target, bound {bound:.4f}"
 
+    def test_table_values_equal_direct_loglik(self, ac_context):
+        # the chain reads its likelihood from a per-(cell, j) table; each
+        # retained value must be the direct plug-in evaluation, bit for bit
+        cache = ac_context[0].cache
+        setup = ACInverseSetup(design=ac_design(3, 3), data_locations=interior_grid_2d(2),
+                               cache=cache)
+        truth = cache.solutions(0.04)[0].interpolate(setup.data_locations)
+        y = truth + 0.02 * RngStream(3, 32).generator().standard_normal(len(truth))
+        noise = NoiseModel.isotropic(0.02, len(y))
+        chain = ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 300, RngStream(16),
+                               setup=setup, noise=noise, init=(0.04, 1))
+        assert len({(setup.cache._cell(d), j) for d, j in zip(chain.delta, chain.j)}) > 5
+        for delta, j, ll in zip(chain.delta, chain.j, chain.log_estimate):
+            assert ll == mvn_logpdf(y, setup.branch_values(delta, j)[1], noise.cov)
+
     def test_pilot_scan_finds_neighborhood(self, ac_context):
         setup, y, noise = ac_context
         best = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))

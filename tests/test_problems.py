@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
+from scipy.sparse.linalg import spsolve
 
 from pmm.forward import edge_points_2d, interior_grid_2d, solve_forward
 from pmm.inverse import ACInverseSetup, CoarseSolutionCache
@@ -10,6 +11,9 @@ from pmm.problems import (
     DELTA_RANGE,
     GridSolution,
     Poisson1D,
+    _jacobian_band,
+    _jacobian_solve,
+    _lap,
     ac_boundary_values,
     ac_deflated_solve,
     ac_design,
@@ -17,7 +21,7 @@ from pmm.problems import (
     generate_data,
     poisson_exact,
 )
-from reference import linearized_ac_blocks
+from reference import linearized_ac_blocks, sparse_ac_jacobian, sparse_laplacian
 
 
 def fd_poisson_solve(theta, n_cells=10_000):
@@ -101,6 +105,33 @@ class TestAllenCahnResidual:
         sols = ac_deflated_solve(0.05, 31, RngStream(0))
         for s in sols:
             assert np.max(np.abs(ac_residual(s.u, 0.05))) < 1e-9
+
+
+class TestBandedNewton:
+    """The stencil and the banded LU against the sparse assembly they replace."""
+
+    @pytest.mark.parametrize("n", [16, 31])
+    def test_stencil_matches_sparse_laplacian(self, n):
+        u = np.random.default_rng(n).standard_normal(n * n)
+        ref = sparse_laplacian(n) @ u
+        got = _lap(u, n, 1.0 / (n + 1))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16, 31])
+    def test_newton_step_matches_sparse_solve(self, n):
+        # u spans [-1, 1], so 3u^2 - 1 takes both signs and J is indefinite
+        delta = 0.04
+        u = np.random.default_rng(100 + n).uniform(-1.0, 1.0, n * n)
+        res = ac_residual(u, delta)
+        ref = spsolve(sparse_ac_jacobian(u, delta), -res)
+        step = _jacobian_solve(_jacobian_band(delta, n), u, delta, -res)
+        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_nan_seed_is_discarded(self):
+        sols = ac_deflated_solve(0.04, 31, RngStream(0), seeds=[np.full(961, np.nan)])
+        assert len(sols) == 3
+        for s in sols:
+            assert s.residual_norm < 1e-9
 
 
 class TestDeflatedSolve:

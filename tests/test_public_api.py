@@ -1,7 +1,7 @@
 """The package's public surface. Tier-1 runs no demo, so these checks stand
 in for them: every name a demo imports from ``pmm`` resolves, ``pmm.__all__``
 lists only names that exist, and importing the CLI leaves scipy's
-interpolate and spatial subpackages unloaded."""
+interpolate, spatial and sparse subpackages unloaded."""
 
 import ast
 import importlib
@@ -34,8 +34,8 @@ def demo_imports():
 def test_cli_import_leaves_interpolate_and_spatial_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, pmm.cli; "
-            "print(','.join(m for m in ('scipy.interpolate', 'scipy.spatial') if m in sys.modules))")
+    code = ("import sys, pmm.cli; print(','.join(m for m in "
+            "('scipy.interpolate', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == ""
