@@ -178,7 +178,9 @@ METADATA_NOTES = {
         "latent_prior": "improper flat prior; constant cancels in acceptance ratios",
         "identity_observation_points": "interior design points",
         "coarse_solutions": "one downward continuation sweep over [0.02, 0.15] at "
-                            "cache_resolution, independent of seed and data",
+                            "cache_resolution, each cell seeded by the secant "
+                            "predictor 2u(k+1) - u(k+2) of the two cells above, "
+                            "independent of seed and data",
     },
 }
 
@@ -406,11 +408,12 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
     _write_csv(data_path, ["x1", "x2", "y"], zip(data_locations[:, 0], data_locations[:, 1], y))
     files.append(data_path)
 
-    setup = ACInverseSetup(
-        design=ac_design(cfg["interior_per_axis"], cfg["per_edge"]),
-        data_locations=data_locations,
-        cache=CoarseSolutionCache(cfg["grid_n"], cfg["cache_resolution"]),
-    )
+    with _stage("coarse solution table"):
+        setup = ACInverseSetup(
+            design=ac_design(cfg["interior_per_axis"], cfg["per_edge"]),
+            data_locations=data_locations,
+            cache=CoarseSolutionCache(cfg["grid_n"], cfg["cache_resolution"]),
+        )
     noise = NoiseModel.isotropic(cfg["sigma"], len(y))
     delta_prior = UniformPrior(*DELTA_RANGE)
 

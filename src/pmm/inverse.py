@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .forward import ForwardPosterior
-from .kernels import OperatorTag, SqExpKernel, _sqexp_pair_from_r2
+from .kernels import OperatorTag, _sqexp_pair_from_r2
 from .linalg import RngStream, chol_jitter, mvn_logpdf
 from .problems import DELTA_RANGE, ACDesign, GridSolution, ac_deflated_solve
 
@@ -193,9 +193,13 @@ class CoarseSolutionCache:
     continuation downward from its top: each cell's deflated Newton solve
     is seeded with the branches of the cell above, which keeps the
     thin-interface branches at small delta reachable and lines up the
-    branch indices of neighbouring cells. Lookups snap delta to the
-    nearest cell, so the table, and every likelihood read from it, does
-    not depend on a seed or on the order in which cells are looked up.
+    branch indices of neighbouring cells. Once the two cells above both
+    hold three branches, the seeds are led by the secant predictions
+    ``2 u(k+1) - u(k+2)`` of each branch (Allgower & Georg, *Introduction
+    to Numerical Continuation Methods*, 2003), which start Newton closer
+    to the root. Lookups snap delta to the nearest cell, so the table, and
+    every likelihood read from it, does not depend on a seed or on the
+    order in which cells are looked up.
     """
 
     def __init__(self, grid_n: int = 31, resolution: float = 0.002):
@@ -203,11 +207,16 @@ class CoarseSolutionCache:
         self.resolution = resolution
         self._store: dict[int, list[GridSolution]] = {}
         lo, hi = DELTA_RANGE
-        sols = []
+        sols, older = [], []
         for cell in range(round(hi / resolution), round(lo / resolution) - 1, -1):
-            sols = ac_deflated_solve(
+            seeds = [s.u.ravel() for s in sols]
+            if len(sols) == len(older) == 3:
+                # secant predictor from the two cells above, ahead of the
+                # plain seeds, which stay as fallbacks
+                seeds = [2.0 * u - v.u.ravel() for u, v in zip(seeds, older)] + seeds
+            older, sols = sols, ac_deflated_solve(
                 float(np.clip(cell * resolution, lo, hi)), grid_n, RngStream(0, cell),
-                seeds=[s.u.ravel() for s in sols],
+                seeds=seeds,
             )
             self._store[cell] = sols
 
@@ -227,9 +236,10 @@ class ACInverseSetup:
 
     Besides the design, the data locations and the coarse-solution cache,
     it holds what no likelihood call changes: the squared distances between
-    the stacked points [interior, boundary, data], and each coarse branch's
-    values at the interior design points and the data points, one entry per
-    (cache cell, j).
+    the rows of the joint matrix of ``pm_loglik``, in its order
+    [identity@interior, operator@interior, boundary, data] (the interior
+    points appear twice), and each coarse branch's values at the interior
+    design points and the data points, one entry per (cache cell, j).
     """
 
     design: ACDesign
@@ -240,7 +250,7 @@ class ACInverseSetup:
 
     def __post_init__(self):
         interior = self.design.interior_points
-        pts = np.vstack([interior, self.design.boundary_points, self.data_locations])
+        pts = np.vstack([interior, interior, self.design.boundary_points, self.data_locations])
         object.__setattr__(self, "_r2", np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
         targets = np.vstack([interior, self.data_locations])
         branches = {}
@@ -287,52 +297,54 @@ class PMEstimate:
         return cls(float(shift + np.log(np.exp(lw - shift).sum() / lw.size)), lw.size, lw)
 
 
-def _draw_latents(zbar, cov, m: int, rng: RngStream, xi=None):
-    """Batch of Gaussian latent draws with their own log-densities.
+def _draw_latents(zbar, lower, m: int, rng: RngStream, xi=None):
+    """Batch of Gaussian latent draws ``zbar + lower xi`` with their
+    log-densities under ``N(zbar, lower lower^T)``.
 
-    Reuses the covariance factor for draws and densities, so each density
-    is exactly that of the jittered proposal the draw came from. A
-    pre-drawn standard-normal batch ``xi`` may be supplied (the correlated
+    Draws and densities come from the one factor ``lower``, so each density
+    is exactly that of the proposal the draw came from. A pre-drawn
+    standard-normal batch ``xi`` may be supplied (the correlated
     pseudo-marginal chain keeps one in its state).
     """
-    factor = chol_jitter(cov)
-    dim = factor.n
+    dim = len(lower)
     if xi is None:
         xi = rng.generator().standard_normal((m, dim))
-    draws = zbar[None, :] + xi @ factor.lower.T
-    logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)))
+    draws = zbar[None, :] + xi @ lower.T
+    logdet = 2.0 * np.sum(np.log(np.diag(lower)))
     log_r = -0.5 * (dim * _LOG_2PI + logdet + np.sum(xi**2, axis=1))
     return draws, log_r
 
 
-def _joint_matrix(setup: ACInverseSetup, delta: float, kernel: SqExpKernel, noise: NoiseModel):
-    """Equilibrated joint covariance of [operator@interior, identity@interior,
-    boundary, data], with the noise added to the data block.
+def _joint_matrix(setup: ACInverseSetup, delta: float, ell: float, noise: NoiseModel):
+    """Joint covariance of [identity@interior, operator@interior, boundary,
+    data], with the operator rows equilibrated and the noise added to the
+    data block.
 
-    The leading rows are the Gram matrix of the linearized forward solve,
-    entry for entry as ``assemble_gram`` builds it, divided by the square
-    root of its diagonal as ``solve_forward`` does; the data rows are left
-    in natural units. Returns the matrix and the per-row scale.
+    One ``exp`` over the setup's squared distances gives every identity
+    entry; the operator rows and columns are then multiplied by their
+    closed-form polynomials. The operator rows are divided by the square
+    root of their common diagonal, as ``solve_forward`` equilibrates; every
+    other row already has unit diagonal (the data rows before the noise).
+    Returns the matrix and the operator rows' scale.
     """
     r2 = setup._r2
     n_int = len(setup.design.interior_points)
-    n_gram = len(r2) + n_int - len(setup.data_locations)
-    op = OperatorTag.affine_interior(delta, -1.0 / delta)
+    n_gram = len(r2) - len(setup.data_locations)
+    op_tag = OperatorTag.affine_interior(delta, -1.0 / delta)
     ident = OperatorTag.identity()
-    ell, d = kernel.lengthscale, kernel.dim
-    n = n_int + len(r2)
-    joint = np.empty((n, n))
-    joint[:n_int, :n_int] = _sqexp_pair_from_r2(op, op, r2[:n_int, :n_int], ell, d)
-    joint[:n_int, n_int:] = _sqexp_pair_from_r2(op, ident, r2[:n_int], ell, d)
-    joint[n_int:, :n_int] = joint[:n_int, n_int:].T
-    joint[n_int:, n_int:] = _sqexp_pair_from_r2(ident, ident, r2, ell, d)
-    diag = joint.diagonal()[:n_gram]
-    scale = np.ones(n)
-    scale[:n_gram] = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    joint /= scale[:, None]
-    joint /= scale[None, :]
+    a, c, d, e = op_tag.a, op_tag.c, 2, 1.0 / ell**2
+    # the operator rows' diagonal c^2 + 2ac d e + a^2 d(d+2) e^2 equals
+    # (c + a d e)^2 + 2 a^2 d e^2, which is positive
+    s = float(np.sqrt(c * c + 2.0 * a * c * d * e + a * a * d * (d + 2) * e * e))
+    op = slice(n_int, 2 * n_int)
+    joint = np.exp(-0.5 * e * r2)
+    op_op = _sqexp_pair_from_r2(op_tag, op_tag, r2[op, op], ell, d, kv=joint[op, op]) / s**2
+    op_rows = _sqexp_pair_from_r2(op_tag, ident, r2[op], ell, d, kv=joint[op]) / s
+    joint[op] = op_rows
+    joint[:, op] = op_rows.T
+    joint[op, op] = op_op
     joint[n_gram:, n_gram:] += noise.cov
-    return joint, scale
+    return joint, s
 
 
 def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
@@ -349,31 +361,37 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     which is how the correlated chain couples successive estimates.
 
     The latent field only enters the right-hand side, so one Cholesky
-    factor ``L`` of the joint covariance of the forward observations and
-    the noisy data serves every particle (Rasmussen & Williams, GPML,
-    Alg. 2.1): ``L^-1 [rhs; y]`` ends in the whitened residual of the data
-    against the forward posterior mean, and the trailing diagonal of ``L``
-    gives the log-determinant of the marginal data covariance. The
-    proposal covariance is the joint matrix's identity@interior block.
+    factor ``L`` of the joint covariance of [identity@interior,
+    operator@interior, boundary, data] serves every particle (Rasmussen &
+    Williams, GPML, Alg. 2.1): ``L^-1 [rhs; y]`` ends in the whitened
+    residual of the data against the forward posterior mean, and the
+    trailing diagonal of ``L`` gives the log-determinant of the marginal
+    data covariance. The proposal covariance is the identity@interior
+    block, so the leading block of the same ``L`` draws the particles and
+    gives their densities. When ``chol_jitter`` has to jitter the joint,
+    the proposal is the leading block of the jittered joint; draws and
+    densities still come from one factor, so the estimate stays unbiased.
     """
     if m_particles < 1:
         raise ValueError("need at least one particle")
     y = np.asarray(y, dtype=float).reshape(-1)
+    n_data = len(setup.data_locations)
+    if not y.size == n_data == noise.n:
+        raise ValueError(f"sizes disagree: {y.size} data values, {n_data} data "
+                         f"locations, noise covariance of size {noise.n}")
     zbar = setup.latent_centre(delta, j)
     n_int = zbar.size
-    joint, scale = _joint_matrix(setup, delta, SqExpKernel(ell, dim=2), noise)
+    joint, s = _joint_matrix(setup, delta, ell, noise)
     n_gram = len(joint) - y.size
-    z_draws, log_r = _draw_latents(zbar, joint[n_int:2 * n_int, n_int:2 * n_int],
-                                   m_particles, rng, xi=xi)
     factor = chol_jitter(joint)
+    z_draws, log_r = _draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)
     rhs = np.empty((len(joint), m_particles))
-    rhs[:n_int] = z_draws.T
-    rhs[n_int:2 * n_int] = np.cbrt(-delta * z_draws).T
+    rhs[:n_int] = np.cbrt(-delta * z_draws).T
+    rhs[n_int:2 * n_int] = z_draws.T / s
     rhs[2 * n_int:n_gram] = setup.design.boundary_rhs[:, None]
     rhs[n_gram:] = y[:, None]
-    rhs /= scale[:, None]
     # chol_jitter has checked the factor; a non-finite rhs shows in the weights
-    resid = solve_triangular(factor.lower, rhs, lower=True, check_finite=False)[n_gram:]
+    resid = dtrtrs(factor.lower, rhs, lower=1)[0][n_gram:]
     logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)[n_gram:]))
     logliks = -0.5 * (y.size * _LOG_2PI + logdet + np.sum(resid**2, axis=0))
     return PMEstimate.from_log_weights(logliks - log_r)

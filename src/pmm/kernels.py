@@ -5,8 +5,8 @@ form ``(a * (-laplacian) + c * identity) u`` at scattered points, so every
 Gram block needs the kernel with such an operator applied to one or both
 arguments. For the squared-exponential kernel these are closed forms
 (polynomial times Gaussian); for the Green's-function kernel they are
-finite differences of a quadrature feature map. A finite-difference
-checker and the fill-distance of a design complete the module.
+finite differences of a quadrature feature map. The fill distance of a
+design completes the module.
 """
 
 from __future__ import annotations
@@ -94,17 +94,20 @@ def _as_points(x, dim: int) -> np.ndarray:
     return x
 
 
-def _sqexp_pair_from_r2(left: OperatorTag, right: OperatorTag, r2, ell: float, d: int):
+def _sqexp_pair_from_r2(left: OperatorTag, right: OperatorTag, r2, ell: float, d: int,
+                        kv=None):
     """Closed form of ``(left_x right_y k)(x, y)`` in terms of ``|x-y|^2``.
 
     With ``e = 1/l^2`` the building blocks are
     ``(-lap) k = (d e - e^2 r2) k`` on either argument and
     ``(-lap_x)(-lap_y) k = (d (d+2) e^2 - 2 (d+2) e^3 r2 + e^4 r2^2) k``;
     both are symmetric in the two arguments, so the affine combination
-    below covers every tag pairing.
+    below covers every tag pairing. ``kv`` may supply the plain kernel
+    values ``exp(-e r2 / 2)`` when the caller already has them.
     """
     e = 1.0 / ell**2
-    kv = np.exp(-0.5 * e * r2)
+    if kv is None:
+        kv = np.exp(-0.5 * e * r2)
     out = left.c * right.c * kv
     mixed = left.a * right.c + left.c * right.a
     if mixed != 0.0:

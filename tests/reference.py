@@ -7,7 +7,8 @@ observation blocks for the public forward solver, which is what
 ``pmm.inverse.pm_loglik`` fills in one joint matrix. ``sparse_laplacian``
 and ``sparse_ac_jacobian`` assemble the coarse Allen-Cahn operators as
 ``scipy.sparse`` matrices, against which the package's stencil and banded
-Newton solve are checked.
+Newton solve are checked. ``plain_seed_sweep`` builds the coarse-solution
+table without the secant predictor of ``pmm.inverse.CoarseSolutionCache``.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ import scipy.sparse as sp
 
 from pmm.forward import ObservationBlock
 from pmm.kernels import OperatorTag, SqExpKernel, UnsupportedOperatorPair, op_gram
+from pmm.linalg import RngStream
+from pmm.problems import DELTA_RANGE, ac_deflated_solve
 
 
 def order(tag: OperatorTag) -> int:
@@ -145,3 +148,18 @@ def sparse_ac_jacobian(u, delta: float):
     u = np.asarray(u, dtype=float).reshape(-1)
     n = int(round(np.sqrt(u.size)))
     return (-delta * sparse_laplacian(n) + sp.diags((3.0 * u**2 - 1.0) / delta)).tocsc()
+
+
+def plain_seed_sweep(grid_n: int, resolution: float) -> dict:
+    """The coarse-solution table, cell -> branches, from the downward
+    continuation sweep that seeds each cell with the plain branches of the
+    cell above and nothing else."""
+    lo, hi = DELTA_RANGE
+    table, sols = {}, []
+    for cell in range(round(hi / resolution), round(lo / resolution) - 1, -1):
+        sols = ac_deflated_solve(
+            float(np.clip(cell * resolution, lo, hi)), grid_n, RngStream(0, cell),
+            seeds=[s.u.ravel() for s in sols],
+        )
+        table[cell] = sols
+    return table

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+import pmm.inverse
 from pmm.cli import ConfigError, _parse_config, main
+from pmm.problems import SolveFailed
 
 FAST_AC = [
     "--n_steps", "40", "--burn_in", "10", "--m_particles", "4",
@@ -174,6 +176,17 @@ class TestAllenCahn:
         err = capsys.readouterr().err
         assert "stage 'data generation'" in err and "SolutionIndexOutOfRange" in err
         assert not os.path.exists(os.path.join(out, "data.csv"))
+
+    def test_coarse_table_failure_names_its_stage(self, tmp_path, capsys, monkeypatch):
+        def fail(delta, *args, **kwargs):
+            raise SolveFailed(f"no Allen-Cahn solution converged at delta={delta}")
+
+        monkeypatch.setattr(pmm.inverse, "ac_deflated_solve", fail)
+        out = str(tmp_path)
+        assert main(["allen-cahn", "--output-dir", out, *FAST_AC]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'coarse solution table'" in err and "SolveFailed" in err
+        assert not os.path.exists(os.path.join(out, "chain.csv"))
 
 
 class TestManifestRerun:

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+import pmm.problems
 from pmm.forward import ObservationBlock, interior_grid_2d, solve_forward
 from pmm.inverse import (
     ACInverseSetup,
@@ -24,12 +25,13 @@ from pmm.inverse import (
     pm_mcmc,
     pn_loglik,
     _draw_latents,
+    _joint_matrix,
     _mh_chain,
 )
 from pmm.kernels import OperatorTag, SqExpKernel, op_gram
-from pmm.linalg import RngStream, mvn_logpdf
+from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
 from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
-from reference import linearized_ac_blocks
+from reference import linearized_ac_blocks, plain_seed_sweep
 
 
 @pytest.fixture(scope="module")
@@ -304,32 +306,56 @@ class TestConjugateToy:
 class TestImportanceSampleZ:
     """The Gaussian latent proposal inside ``pm_loglik``: centred at the
     latent field ``-u^3 / delta`` of the j-th coarse branch, with the prior
-    kernel's Gram matrix as covariance."""
+    kernel's Gram matrix as covariance, whose factor is the leading block of
+    the joint matrix's factor."""
+
+    @staticmethod
+    def shared_factor(setup, noise, delta, ell):
+        joint, _ = _joint_matrix(setup, delta, ell, noise)
+        factor = chol_jitter(joint)
+        n_int = len(setup.design.interior_points)
+        return factor, factor.lower[:n_int, :n_int]
+
+    @staticmethod
+    def k_int(setup, ell):
+        x = setup.design.interior_points
+        return op_gram(OperatorTag.identity(), OperatorTag.identity(), SqExpKernel(ell, dim=2), x, x)
+
+    def test_leading_block_factors_proposal_covariance(self, ac_context):
+        setup, _, noise = ac_context
+        factor, lower = self.shared_factor(setup, noise, 0.04, 0.2)
+        assert factor.jitter_used == 0.0
+        np.testing.assert_allclose(lower @ lower.T, self.k_int(setup, 0.2), rtol=0, atol=1e-14)
 
     def test_collapsed_proposal_returns_center(self, ac_context):
-        setup, _, _ = ac_context
-        x = setup.design.interior_points
-        cov = op_gram(OperatorTag.identity(), OperatorTag.identity(), SqExpKernel(0.2, dim=2), x, x)
+        setup, _, noise = ac_context
+        _, lower = self.shared_factor(setup, noise, 0.04, 0.2)
         zbar = setup.latent_centre(0.04, 1)
-        z, _ = _draw_latents(zbar, 1e-12 * cov, 1, RngStream(1))
-        center = -setup.cache.solutions(0.04)[0].interpolate(x) ** 3 / 0.04
+        z, _ = _draw_latents(zbar, 1e-6 * lower, 1, RngStream(1))
+        center = -setup.cache.solutions(0.04)[0].interpolate(setup.design.interior_points) ** 3 / 0.04
         np.testing.assert_array_equal(zbar, center)
         assert np.max(np.abs(z[0] - center)) < 1e-4
 
     def test_log_density_at_center(self, ac_context):
-        setup, _, _ = ac_context
-        kernel = SqExpKernel(0.2, dim=2)
-        from pmm.linalg import chol_jitter
-        x = setup.design.interior_points
-        cov = op_gram(OperatorTag.identity(), OperatorTag.identity(), kernel, x, x)
-        f = chol_jitter(cov)
-        expected = -0.5 * (len(x) * np.log(2 * np.pi)
-                           + 2 * np.sum(np.log(np.diag(f.lower))))
+        setup, _, noise = ac_context
+        _, lower = self.shared_factor(setup, noise, 0.04, 0.2)
         center = setup.latent_centre(0.04, 1)
-        got = mvn_logpdf(center, center, cov)
-        assert got == pytest.approx(expected, rel=1e-12)
-        _, log_r = _draw_latents(center, cov, 1, RngStream(0), xi=np.zeros((1, len(x))))
+        expected = mvn_logpdf(center, center, self.k_int(setup, 0.2))
+        _, log_r = _draw_latents(center, lower, 1, RngStream(0), xi=np.zeros((1, len(center))))
         assert log_r[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.2])
+    def test_particle_densities_match_mvn_logpdf(self, ac_context, ell):
+        # at a state whose joint needs no jitter, each particle's density is
+        # that of N(zbar, K_int), whatever the joint's other rows hold
+        setup, _, noise = ac_context
+        factor, lower = self.shared_factor(setup, noise, 0.04, ell)
+        assert factor.jitter_used == 0.0
+        zbar = setup.latent_centre(0.04, 2)
+        z, log_r = _draw_latents(zbar, lower, 6, RngStream(3, 1))
+        k_int = self.k_int(setup, ell)
+        for z_i, lr in zip(z, log_r):
+            assert lr == pytest.approx(mvn_logpdf(z_i, zbar, k_int), rel=1e-12)
 
     def test_reproducible(self, ac_context):
         setup, y, noise = ac_context
@@ -382,17 +408,40 @@ class TestPmLoglik:
                  for i in range(len(z))]
         return logsumexp(log_w) - np.log(len(z))
 
-    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.15])
-    @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_joint_factor_matches_two_factor_path(self, ac_context, ell, j):
-        setup, y, noise = ac_context
+    def check_against_two_factor_path(self, setup, y, noise, ell, j):
+        n_int = len(setup.design.interior_points)
         # 0.0406 snaps to the 0.040 cell, so the latent centre must use the
         # actual delta while the branch comes from the cell
         delta = 0.0406
-        xi = RngStream(20, j).generator().standard_normal((8, 25))
+        xi = RngStream(20, j).generator().standard_normal((8, n_int))
         got = pm_loglik(y, delta, ell, j, 8, noise, RngStream(0), setup=setup, xi=xi)
         want = self.two_factor_estimate(y, delta, ell, j, xi, setup, noise)
         assert got.log_estimate == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.15])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_joint_factor_matches_two_factor_path(self, ac_context, ell, j):
+        self.check_against_two_factor_path(*ac_context, ell, j)
+
+    # the dense workload's 8x8 interior design with 8 points per edge; at
+    # ell = 0.15 its equilibrated Gram has condition number about 1e10, and
+    # any two factorizations of it differ near 1e-7 relative
+    @pytest.mark.parametrize("ell", [0.05, 0.1])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_joint_factor_matches_two_factor_path_dense(self, ac_context, ell, j):
+        setup, y, noise = ac_context
+        dense = ACInverseSetup(design=ac_design(8, 8), data_locations=setup.data_locations,
+                               cache=setup.cache)
+        self.check_against_two_factor_path(dense, y, noise, ell, j)
+
+    @pytest.mark.parametrize("y_size,noise_size", [(16, 1), (15, 16), (16, 17)])
+    def test_size_mismatch_raises(self, ac_context, y_size, noise_size):
+        # a 1x1 noise covariance used to broadcast over the whole data block
+        setup, y, _ = ac_context
+        noise = NoiseModel.isotropic(0.02, noise_size)
+        with pytest.raises(ValueError, match=f"{y_size} data values, 16 data locations, "
+                                             f"noise covariance of size {noise_size}"):
+            pm_loglik(y[:y_size], 0.04, 0.1, 1, 4, noise, RngStream(0), setup=setup)
 
     def test_one_cell_shares_branch_values(self, ac_context):
         setup, _, _ = ac_context
@@ -556,6 +605,33 @@ class TestCoarseCache:
             for a, b in zip(above, below):
                 jump = float(np.max(np.abs(a.u - b.u)))
                 assert jump < 0.25, f"branch {a.solution_index}: jump {jump:.3f} at cell {lower}"
+
+    def test_table_matches_plain_seed_sweep(self, ac_context):
+        # the secant predictor only moves Newton's starting points: every
+        # (cell, j) entry is the root that the plain-seed sweep converges to
+        cache = ac_context[0].cache
+        oracle = plain_seed_sweep(31, 0.002)
+        assert sorted(cache._store) == sorted(oracle)
+        for cell, want in oracle.items():
+            got = cache._store[cell]
+            assert len(got) == len(want) == 3
+            for j, (a, b) in enumerate(zip(got, want), start=1):
+                gap = float(np.max(np.abs(a.u - b.u)))
+                assert gap < 1e-9, f"cell {cell}, j={j}: {gap:.2e}"
+
+    def test_sweep_banded_solve_count(self, monkeypatch):
+        # 786 banded solves with plain seeds; the predictor saves a third
+        calls = []
+        solve = pmm.problems._jacobian_solve
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(pmm.problems, "_jacobian_solve", counted)
+        cache = CoarseSolutionCache(31, 0.002)
+        assert all(len(sols) == 3 for sols in cache._store.values())
+        assert len(calls) <= 540
 
     @pytest.mark.parametrize("delta", [0.0199, 0.1501])
     def test_outside_range_raises(self, ac_context, delta):
