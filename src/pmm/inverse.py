@@ -1,12 +1,12 @@
 """Bayesian inverse problems over PDE parameters.
 
-Two likelihoods are available for a forward solve: the plug-in baseline,
-which inserts a point estimate of the solution and ignores discretisation
-error, and the solver-marginalized one, which inflates the noise
-covariance by the forward posterior covariance. For the nonlinear
-Allen-Cahn problem the likelihood is intractable and is estimated
-unbiasedly by importance-sampling the latent field around coarse-solver
-solutions; a pseudo-marginal Metropolis chain accepts on that estimate.
+Two likelihoods score data against a forward posterior's mean at the data
+locations: the plug-in baseline takes it for the solution and ignores
+discretisation error, and the solver-marginalized one adds the posterior
+covariance there to the noise covariance. For the nonlinear Allen-Cahn
+problem the likelihood is intractable and is estimated unbiasedly by
+importance-sampling the latent field around coarse-solver solutions; a
+pseudo-marginal Metropolis chain accepts on that estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .forward import ForwardPosterior
 from .kernels import OperatorTag, _sqexp_pair_from_r2
 from .linalg import RngStream, chol_jitter, mvn_logpdf
 from .problems import DELTA_RANGE, ACDesign, GridSolution, ac_deflated_solve
@@ -129,16 +128,15 @@ def plugin_loglik(y, mean_at_data, noise: NoiseModel) -> float:
     return mvn_logpdf(y, mean_at_data, noise.cov)
 
 
-def pn_loglik(y, posterior: ForwardPosterior, data_locations, noise: NoiseModel) -> float:
+def pn_loglik(y, mean_at_data, cov_at_data, noise: NoiseModel) -> float:
     """Data log-likelihood with the forward posterior marginalized out.
 
-    Identical to the plug-in likelihood except that the noise covariance
-    is inflated by the solver's posterior covariance at the data
-    locations, which widens inference when the design is coarse.
+    ``mean_at_data`` and ``cov_at_data`` are the forward posterior's mean
+    vector and covariance matrix at the data locations. Identical to the
+    plug-in likelihood except that the noise covariance is inflated by
+    ``cov_at_data``, which widens inference when the design is coarse.
     """
-    mean = posterior.mean(data_locations)
-    cov = noise.cov + posterior.cov(data_locations)
-    return mvn_logpdf(y, mean, cov)
+    return mvn_logpdf(y, mean_at_data, noise.cov + cov_at_data)
 
 
 # ----------------------------------------------------------------------

@@ -198,6 +198,11 @@ def _boundary_source(n: int, h: float, boundary=_AC_BOUNDARY) -> np.ndarray:
     return b.ravel() / h**2
 
 
+def _stencil_residual(u, delta: float, n: int, h: float, bsrc: np.ndarray) -> np.ndarray:
+    """Allen-Cahn residual of flat interior values ``u``, boundary source ``bsrc``."""
+    return -delta * (_lap(u, n, h) + bsrc) + (u**3 - u) / delta
+
+
 def ac_residual(u, delta: float, boundary=None) -> np.ndarray:
     """Five-point-stencil residual of the Allen-Cahn interior equation.
 
@@ -206,27 +211,24 @@ def ac_residual(u, delta: float, boundary=None) -> np.ndarray:
     default edge values as a tuple (x1=0, x1=1, x2=0, x2=1).
     """
     u = np.asarray(u, dtype=float)
-    shape = u.shape
     flat = u.reshape(-1)
     n = int(round(np.sqrt(flat.size)))
     if n * n != flat.size:
         raise ValueError("u must hold an N-by-N interior lattice")
     h = 1.0 / (n + 1)
     bsrc = _boundary_source(n, h, boundary or _AC_BOUNDARY)
-    res = -delta * (_lap(flat, n, h) + bsrc) + (flat**3 - flat) / delta
-    return res.reshape(shape)
+    return _stencil_residual(flat, delta, n, h, bsrc).reshape(u.shape)
 
 
-def _deflation(u, roots, power=2.0, shift=1.0):
+def _deflation(u, roots):
     """Deflation multiplier ``prod(1/|u - r|^2 + 1)`` and its gradient."""
     m = 1.0
     for r in roots:
-        m *= float(np.dot(u - r, u - r)) ** (-power / 2.0) + shift
+        m *= float(np.dot(u - r, u - r)) ** -1.0 + 1.0
     grad = np.zeros_like(u)
     for r in roots:
         d2 = float(np.dot(u - r, u - r))
-        mf = d2 ** (-power / 2.0) + shift
-        grad += (m / mf) * (-power * (u - r) * d2 ** (-power / 2.0 - 1.0))
+        grad += (m / (d2 ** -1.0 + 1.0)) * (-2.0 * (u - r) * d2 ** -2.0)
     return m, grad
 
 
@@ -259,13 +261,13 @@ def _jacobian_solve(band: np.ndarray, u: np.ndarray, delta: float, rhs: np.ndarr
     return x if info == 0 else None
 
 
-def _newton_ac(delta, n, u0, roots, damping, maxiter=200):
+def _newton_ac(delta, n, u0, roots, maxiter=200):
     h = 1.0 / (n + 1)
     bsrc = _boundary_source(n, h)
     band = _jacobian_band(delta, n)
     u = u0.copy()
     for _ in range(maxiter):
-        res = -delta * (_lap(u, n, h) + bsrc) + (u**3 - u) / delta
+        res = _stencil_residual(u, delta, n, h, bsrc)
         rnorm = float(np.max(np.abs(res)))
         if rnorm < _NEWTON_TOL:
             return u, True
@@ -279,11 +281,11 @@ def _newton_ac(delta, n, u0, roots, damping, maxiter=200):
                 return u, False
             step = step / denom
         # backtrack on the sup-norm residual; full steps near convergence
-        alpha = damping
+        alpha = 1.0
         for _ in range(12):
             cand = u + alpha * step
             if np.all(np.isfinite(cand)):
-                rnew = -delta * (_lap(cand, n, h) + bsrc) + (cand**3 - cand) / delta
+                rnew = _stencil_residual(cand, delta, n, h, bsrc)
                 if float(np.max(np.abs(rnew))) < rnorm or rnorm < 1e-6:
                     break
             alpha *= 0.5
@@ -310,14 +312,14 @@ def ac_deflated_solve(
     delta: float,
     n: int,
     rng: RngStream,
-    damping: float = 1.0,
     seeds=(),
 ) -> list:
     """All distinct solutions of the discrete Allen-Cahn system.
 
-    Damped Newton runs from a saddle-shaped guess, two one-phase profiles
-    and zero; each later run minimizes the residual deflated by the
-    solutions already found, which blocks reconvergence to a known root.
+    Newton runs, each step backtracking from a full step, start from a
+    saddle-shaped guess, two one-phase profiles and zero; each later run
+    minimizes the residual deflated by the solutions already found, which
+    blocks reconvergence to a known root.
     ``seeds`` supplies extra initial guesses (used for continuation from
     solutions at a nearby ``delta``). Solutions are deduplicated at
     sup-norm distance 0.1, sorted by their value at the domain centre
@@ -341,7 +343,7 @@ def ac_deflated_solve(
         for guess in cand:
             if len(found) >= 3:
                 break
-            u, ok = _newton_ac(delta, n, guess, found, damping)
+            u, ok = _newton_ac(delta, n, guess, found)
             if ok and np.max(np.abs(u)) <= 1.5 and all(
                 np.max(np.abs(u - s)) > 0.1 for s in found
             ):

@@ -165,19 +165,20 @@ def test_criterion_4_inverse_widening():
     m_values = (4, 8, 16)
 
     with Timer() as t:
+        # one solve per design size serves every seed and theta: the posterior
+        # at theta has mean mean_1 / theta and covariance cov_1
+        at_theta_1 = {}
+        for m in m_values:
+            post = solve_forward(Poisson1D(1.0).blocks(m), kernel)
+            at_theta_1[m] = post.mean(locations[:, None]), post.cov(locations[:, None])
         seed_results, lines, bad_reference = [], [], []
         for seed in range(5):
             y = generate_data(theta0, locations, sigma, RngStream(seed, 21))
 
             def posteriors(m):
-                def solve(theta):
-                    return solve_forward(Poisson1D(theta).blocks(m), kernel)
-
-                pn = grid_posterior(grid, prior,
-                                    lambda th: pn_loglik(y, solve(th), locations[:, None], noise))
-                plug = grid_posterior(grid, prior,
-                                      lambda th: plugin_loglik(
-                                          y, solve(th).mean(locations[:, None]), noise))
+                mean, cov = at_theta_1[m]
+                pn = grid_posterior(grid, prior, lambda th: pn_loglik(y, mean / th, cov, noise))
+                plug = grid_posterior(grid, prior, lambda th: plugin_loglik(y, mean / th, noise))
                 return pn, plug
 
             per_m = {m: posteriors(m) for m in m_values}

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+import pmm.cli
 import pmm.inverse
-from pmm.cli import ConfigError, _parse_config, main
+from pmm.cli import ConfigError, _parse_config, main, run_inverse_1d
 from pmm.problems import SolveFailed
 
 FAST_AC = [
@@ -147,6 +148,18 @@ class TestInverse1D:
         grid = np.array([float(r[0]) for r in rows])
         dens = np.array([float(r[1]) for r in rows])
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
+
+    def test_one_forward_solve_per_design_size(self, tmp_path, monkeypatch):
+        solve_forward, calls = pmm.cli.solve_forward, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return solve_forward(*args, **kwargs)
+
+        monkeypatch.setattr(pmm.cli, "solve_forward", counting)
+        cfg = _parse_config("inverse-1d", None, {"m_list": "4,8,16", "grid_n": "60"})
+        run_inverse_1d(cfg, str(tmp_path))
+        assert len(calls) == len(cfg["m_list"]) == 3
 
 
 class TestAllenCahn:

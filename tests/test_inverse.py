@@ -28,7 +28,7 @@ from pmm.inverse import (
     _joint_matrix,
     _mh_chain,
 )
-from pmm.kernels import OperatorTag, SqExpKernel, op_gram
+from pmm.kernels import GreensKernel1D, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
 from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
 from reference import linearized_ac_blocks, plain_seed_sweep
@@ -107,8 +107,9 @@ class TestPnLoglik:
         post = self.make_posterior(with_identity_at=locs)
         noise = NoiseModel.isotropic(0.01, 2)
         y = np.array([0.03, -0.02])
-        a = pn_loglik(y, post, np.asarray(locs)[:, None], noise)
-        b = plugin_loglik(y, post.mean(np.asarray(locs)[:, None]), noise)
+        at = np.asarray(locs)[:, None]
+        a = pn_loglik(y, post.mean(at), post.cov(at), noise)
+        b = plugin_loglik(y, post.mean(at), noise)
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_lower_at_mode_when_inflated(self):
@@ -117,7 +118,7 @@ class TestPnLoglik:
         noise = NoiseModel.isotropic(0.01, 2)
         mu = post.mean(locs)
         assert np.trace(post.cov(locs)) > 1e-8
-        assert pn_loglik(mu, post, locs, noise) < plugin_loglik(mu, mu, noise)
+        assert pn_loglik(mu, post.mean(locs), post.cov(locs), noise) < plugin_loglik(mu, mu, noise)
 
     def test_scalar_case(self):
         locs = np.array([[0.4]])
@@ -127,7 +128,8 @@ class TestPnLoglik:
         mu = post.mean(locs)[0]
         y = 0.05
         want = -0.5 * np.log(2 * np.pi * (1e-4 + s2)) - 0.5 * (y - mu) ** 2 / (1e-4 + s2)
-        assert pn_loglik([y], post, locs, noise) == pytest.approx(want, rel=1e-9)
+        got = pn_loglik([y], post.mean(locs), post.cov(locs), noise)
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestGridPosterior:
@@ -167,17 +169,33 @@ def scenario():
     grid = np.linspace(0.4, 2.5, 220)
     prior = UniformPrior(0.25, 4.0)
     kernel = SqExpKernel(0.2)
+    at_theta_1 = {}
+    for m in (4, 8, 16):
+        post = solve_forward(Poisson1D(1.0).blocks(m), kernel)
+        at_theta_1[m] = post.mean(locations[:, None]), post.cov(locations[:, None])
 
     def posterior_for(m, kind):
-        def loglik(theta):
-            post = solve_forward(Poisson1D(theta).blocks(m), kernel)
-            if kind == "pn":
-                return pn_loglik(y, post, locations[:, None], noise)
-            return plugin_loglik(y, post.mean(locations[:, None]), noise)
-
-        return grid_posterior(grid, prior, loglik)
+        # the posterior at theta has mean mean_1 / theta and covariance cov_1
+        mean, cov = at_theta_1[m]
+        if kind == "pn":
+            return grid_posterior(grid, prior, lambda t: pn_loglik(y, mean / t, cov, noise))
+        return grid_posterior(grid, prior, lambda t: plugin_loglik(y, mean / t, noise))
 
     return grid, posterior_for
+
+
+@pytest.mark.parametrize("kernel", [SqExpKernel(0.2), GreensKernel1D(512)],
+                         ids=["sqexp", "greens"])
+@pytest.mark.parametrize("m", [4, 16])
+def test_posterior_at_theta_is_scaled_theta_1_posterior(kernel, m):
+    # the per-theta solve is the oracle for the identity the 1D inverse
+    # problem relies on: mean(theta) = mean(1) / theta, cov(theta) = cov(1)
+    x = np.array([[0.1], [0.25], [0.4], [0.6], [0.75], [0.9]])  # off the mean's zeros
+    ref = solve_forward(Poisson1D(1.0).blocks(m), kernel)
+    for theta in (0.26, 1.0, 2.5, 3.99):
+        post = solve_forward(Poisson1D(theta).blocks(m), kernel)
+        np.testing.assert_allclose(theta * post.mean(x), ref.mean(x), rtol=1e-10)
+        np.testing.assert_allclose(post.cov(x), ref.cov(x), rtol=0.0, atol=1e-13)
 
 
 class TestInverse1DBehavior:
@@ -208,8 +226,9 @@ class TestInverse1DBehavior:
         gaps = []
         for m in (4, 8, 16, 32):
             post = solve_forward(Poisson1D(1.0).blocks(m, design="nested"), kernel)
-            a = pn_loglik(y, post, locations[:, None], noise)
-            b = plugin_loglik(y, post.mean(locations[:, None]), noise)
+            mean, cov = post.mean(locations[:, None]), post.cov(locations[:, None])
+            a = pn_loglik(y, mean, cov, noise)
+            b = plugin_loglik(y, mean, noise)
             gaps.append(abs(a - b))
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 

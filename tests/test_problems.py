@@ -157,14 +157,6 @@ class TestDeflatedSolve:
             dmin = min(np.max(np.abs(reflected - t.u)) for t in sols)
             assert dmin < 1e-6
 
-    def test_damping_invariance(self):
-        a = ac_deflated_solve(0.04, 31, RngStream(0), damping=1.0)
-        b = ac_deflated_solve(0.04, 31, RngStream(0), damping=0.5)
-        assert len(a) == len(b) == 3
-        for s in a:
-            dmin = min(np.max(np.abs(s.u - t.u)) for t in b)
-            assert dmin < 1e-8
-
     def test_continuation_seeds_recover_thin_interface(self):
         # cold start misses branches at the lower end of the range; seeding
         # from a nearby solve recovers all three
