@@ -219,32 +219,46 @@ def _parse_config(experiment: str, config_file: str | None, overrides: dict) -> 
     return cfg
 
 
+# On 2 or 3 points an evaluation grid holds only zeros of the exact 1D
+# solution sin(2 pi x)/(4 pi^2 theta), where a relative error reads noise.
+MIN_EVAL_POINTS = 16
+
+
 def _validate(experiment: str, cfg: dict) -> None:
-    if "kernel" in cfg and cfg["kernel"] not in ("sqexp", "greens"):
-        raise ConfigError(f"kernel must be 'sqexp' or 'greens', got {cfg['kernel']!r}")
+    if "kernel" in cfg:
+        if cfg["kernel"] not in ("sqexp", "greens"):
+            raise ConfigError(f"kernel must be 'sqexp' or 'greens', got {cfg['kernel']!r}")
+        try:
+            _make_kernel(cfg)  # each kernel checks its own parameters
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if "design" in cfg and cfg["design"] not in ("uniform", "nested"):
         raise ConfigError(f"design must be 'uniform' or 'nested', got {cfg['design']!r}")
-    for key in ("lengthscale", "sigma", "delta_step", "logell_step", "cache_resolution"):
+    for key in ("lengthscale", "sigma", "delta_step", "logell_step", "cache_resolution",
+                "theta", "theta0", "ell_init", "ell_prior_scale"):
         if key in cfg and not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be positive")
+    least = dict.fromkeys(("n_samples", "data_per_axis", "data_branch", "interior_per_axis",
+                           "per_edge", "m_particles"), 1)
+    least.update(eval_points=MIN_EVAL_POINTS, data_grid_n=MIN_GRID_N,
+                 grid_n=MIN_GRID_N if experiment == "allen-cahn" else MIN_GRID_POINTS)
+    for key, lo in least.items():
+        if key in cfg and cfg[key] < lo:
+            raise ConfigError(f"{key} must be at least {lo}")
     for key in ("m_values", "m_list"):
         if key in cfg and (not cfg[key] or min(cfg[key]) < 1):
             raise ConfigError(f"{key} needs at least one design size, each at least 1")
     if "m_list" in cfg and any(b <= a for a, b in zip(cfg["m_list"], cfg["m_list"][1:])):
         raise ConfigError("m_list must be strictly increasing")
-    if experiment == "inverse-1d" and cfg["grid_n"] < MIN_GRID_POINTS:
-        raise ConfigError(f"grid_n must be at least {MIN_GRID_POINTS}")
+    if experiment == "inverse-1d":
+        if not 0.0 <= cfg["prior_lo"] < cfg["prior_hi"]:
+            raise ConfigError("need 0 <= prior_lo < prior_hi")
+        if not cfg["locations"] or not all(0.0 < x < 1.0 for x in cfg["locations"]):
+            raise ConfigError("locations must be one or more points in (0, 1)")
     if experiment == "allen-cahn":
         lo, hi = DELTA_RANGE
         if not lo < cfg["delta0"] < hi:
             raise ConfigError(f"delta0 must lie in ({lo}, {hi})")
-        for key in ("grid_n", "data_grid_n"):
-            if cfg[key] < MIN_GRID_N:
-                raise ConfigError(f"{key} must be at least {MIN_GRID_N}")
-        for key in ("data_per_axis", "data_branch", "interior_per_axis", "per_edge",
-                    "m_particles"):
-            if cfg[key] < 1:
-                raise ConfigError(f"{key} must be at least 1")
         if not 0.0 <= cfg["noise_correlation"] < 1.0:
             raise ConfigError("noise_correlation must lie in [0, 1)")
         if cfg["burn_in"] >= cfg["n_steps"]:
@@ -262,9 +276,7 @@ def _make_kernel(cfg: dict):
 # ----------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return "%.17g" % float(value)
 
@@ -501,10 +513,7 @@ def main(argv=None) -> int:
             base_cfg = {k: str(v) if not isinstance(v, list) else ",".join(map(str, v))
                         for k, v in manifest["config"].items()}
         cfg = _parse_config(args.experiment, args.config, {**base_cfg, **overrides})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

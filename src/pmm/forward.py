@@ -1,10 +1,13 @@
 """Gaussian-process forward solver with operator observations.
 
 A solve conditions a centred GP prior on noise-free evaluations of each
-operator equation's right-hand side at scattered design points. The block
-Gram matrix couples every pair of operator observations; the posterior
-mean is the symmetric-collocation solution and the posterior covariance
-quantifies what the finite design leaves unresolved.
+operator equation's right-hand side at scattered design points. The
+observation blocks are stacked into one observation set, points plus one
+operator coefficient pair (a, c) per row, so the Gram matrix of all
+observations and their covariance with u at new points are each one call
+of ``kernels.gram``. The posterior mean is the symmetric-collocation
+solution and the posterior covariance quantifies what the finite design
+leaves unresolved.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
+    IDENTITY,
     OperatorTag,
     fill_distance,
-    op_gram,
+    gram,
     unit_interval_probe,
     unit_square_probe,
 )
@@ -40,13 +44,6 @@ __all__ = [
 _BOUNDARY_TOL = 1e-12
 
 
-def _points_2d(points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    return points
-
-
 def _on_unit_boundary(points: np.ndarray) -> np.ndarray:
     near0 = np.abs(points) <= _BOUNDARY_TOL
     near1 = np.abs(points - 1.0) <= _BOUNDARY_TOL
@@ -66,7 +63,8 @@ class ObservationBlock:
     rhs: np.ndarray
 
     def __post_init__(self):
-        pts = _points_2d(self.points)
+        pts = np.asarray(self.points, dtype=float)
+        pts = pts[:, None] if pts.ndim == 1 else pts
         rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
         if len(pts) < 1:
             raise ValueError("an observation block needs at least one point")
@@ -85,51 +83,45 @@ class ObservationBlock:
         return len(self.rhs)
 
 
-def assemble_gram(blocks, kernel) -> np.ndarray:
-    """Block Gram matrix of all operator observations.
-
-    Entry (i, j) is the kernel with block i's operator applied to the
-    first argument and block j's to the second, evaluated at the
-    respective design points. Assembled block-wise and mirrored so the
-    result is exactly symmetric.
-    """
+def _stack(blocks):
+    """The blocks as one observation set: points, per-row (a, c) and rhs."""
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one observation block")
     sizes = [b.size for b in blocks]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    n = offs[-1]
-    gram = np.empty((n, n))
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            if j < i:
-                continue
-            gij = op_gram(bi.op, bj.op, kernel, bi.points, bj.points)
-            gram[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = gij
-            if j > i:
-                gram[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] = gij.T
-    upper = np.triu(gram)
-    return upper + np.triu(gram, 1).T
+    coeffs = tuple(np.repeat([getattr(b.op, name) for b in blocks], sizes) for name in "ac")
+    return np.vstack([b.points for b in blocks]), coeffs, np.concatenate([b.rhs for b in blocks])
 
 
-def _cross_gram(blocks, kernel, X) -> np.ndarray:
-    """Covariance between u(X) and every operator observation, (n, m_total)."""
-    ident = OperatorTag.identity()
-    cols = [op_gram(ident, b.op, kernel, X, b.points) for b in blocks]
-    return np.hstack(cols)
+def assemble_gram(blocks, kernel) -> np.ndarray:
+    """Gram matrix of all operator observations, exactly symmetric: entry
+    (i, j) applies row i's operator to the kernel's first argument and row
+    j's to its second, at their design points."""
+    points, coeffs, _ = _stack(blocks)
+    return gram(kernel, points, coeffs)
+
+
+def _equilibrate(gram_matrix):
+    """Divide row and column i by ``s_i = sqrt(G_ii)``, or by one where that
+    entry is not positive (an all-zero row); return the result and ``s``."""
+    diag = np.diag(gram_matrix)
+    dscale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    return gram_matrix / dscale[:, None] / dscale[None, :], dscale
 
 
 @dataclass
 class ForwardPosterior:
-    """Gaussian posterior over the PDE solution after a forward solve.
+    """Gaussian posterior over the PDE solution after a forward solve of
+    the observation set (``points``, ``coeffs``).
 
-    The stored factor is of the diagonally equilibrated Gram matrix
-    (unit diagonal up to exact zeros); equilibration keeps the adaptive
-    jitter proportional to each block's own scale, which matters when
-    operator blocks and identity blocks differ by orders of magnitude.
+    The factor is of the equilibrated Gram matrix (unit diagonal up to
+    exact zeros), which keeps the adaptive jitter proportional to each
+    row's own scale where operator and identity rows differ by orders of
+    magnitude.
     """
 
-    blocks: list
+    points: np.ndarray
+    coeffs: tuple
     kernel: object
     gram_factor: CholFactor
     weights: np.ndarray
@@ -143,21 +135,19 @@ class ForwardPosterior:
         posterior's Gram structure.
         """
         rhs = np.asarray(rhs, dtype=float)
-        scaled = rhs / (self._dscale if rhs.ndim == 1 else self._dscale[:, None])
-        sol = psd_solve(self.gram_factor, scaled)
-        return sol / (self._dscale if rhs.ndim == 1 else self._dscale[:, None])
+        dscale = self._dscale.reshape((-1,) + (1,) * (rhs.ndim - 1))
+        return psd_solve(self.gram_factor, rhs / dscale) / dscale
 
     def cross_cov(self, X) -> np.ndarray:
         """Prior covariance between u(X) and the observations, (n, m_total)."""
-        return _cross_gram(self.blocks, self.kernel, X)
+        return gram(self.kernel, X, IDENTITY, self.points, self.coeffs)
 
     def mean(self, X) -> np.ndarray:
-        return _cross_gram(self.blocks, self.kernel, X) @ self.weights
+        return self.cross_cov(X) @ self.weights
 
     def cov(self, X) -> np.ndarray:
-        ident = OperatorTag.identity()
-        prior = op_gram(ident, ident, self.kernel, X, X)
-        cross = _cross_gram(self.blocks, self.kernel, X) / self._dscale[None, :]
+        prior = gram(self.kernel, X, IDENTITY)
+        cross = self.cross_cov(X) / self._dscale[None, :]
         cov = prior - cross @ psd_solve(self.gram_factor, cross.T)
         return 0.5 * (cov + cov.T)
 
@@ -170,16 +160,13 @@ def solve_forward(blocks, kernel) -> ForwardPosterior:
     NotPositiveDefinite
         If the (equilibrated) Gram matrix cannot be factorized.
     """
-    blocks = list(blocks)
-    gram = assemble_gram(blocks, kernel)
-    diag = np.diag(gram).copy()
-    dscale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    scaled = gram / dscale[:, None] / dscale[None, :]
+    points, coeffs, rhs = _stack(blocks)
+    scaled, dscale = _equilibrate(gram(kernel, points, coeffs))
     factor = chol_jitter(scaled)
-    rhs = np.concatenate([b.rhs for b in blocks])
     weights = psd_solve(factor, rhs / dscale) / dscale
     return ForwardPosterior(
-        blocks=blocks,
+        points=points,
+        coeffs=coeffs,
         kernel=kernel,
         gram_factor=factor,
         weights=weights,
@@ -280,12 +267,10 @@ def convergence_experiment(problem, kernel, m_list, eval_grid, design: str = "ne
     exact = problem.exact(eval_grid)
     rows = []
     for m in m_list:
-        blocks = problem.blocks(m, design=design)
-        post = solve_forward(blocks, kernel)
+        post = solve_forward(problem.blocks(m, design=design), kernel)
         mean = post.mean(eval_grid)
         err = float(np.linalg.norm(mean - exact) / np.linalg.norm(exact))
         trace = float(np.trace(post.cov(eval_grid)))
-        all_points = np.vstack([b.points for b in blocks])
-        h = fill_distance(all_points, probe)
+        h = fill_distance(post.points, probe)
         rows.append(ConvergenceRow(m=m, h=h, err_l2_rel=err, cov_trace=trace))
     return rows

@@ -11,12 +11,13 @@ pseudo-marginal Metropolis chain accepts on that estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .kernels import OperatorTag, _sqexp_pair_from_r2
+from .kernels import IDENTITY, _sqexp_gram
 from .linalg import RngStream, chol_jitter, mvn_logpdf
 from .problems import DELTA_RANGE, ACDesign, GridSolution, ac_deflated_solve
 
@@ -313,36 +314,30 @@ def _draw_latents(zbar, lower, m: int, rng: RngStream, xi=None):
     return draws, log_r
 
 
-def _joint_matrix(setup: ACInverseSetup, delta: float, ell: float, noise: NoiseModel):
-    """Joint covariance of [identity@interior, operator@interior, boundary,
-    data], with the operator rows equilibrated and the noise added to the
-    data block.
+def _operator_rows(delta: float, ell: float):
+    """The operator rows' (a, c) = (delta, -1/delta) over the square root
+    ``s`` of their prior variance, and ``s``: ``solve_forward``'s
+    equilibration, on the coefficients each Gram entry is bilinear in."""
+    op = (delta, -1.0 / delta)
+    s = math.sqrt(_sqexp_gram(0.0, op, op, ell, 2))
+    return (delta / s, -1.0 / (delta * s)), s
 
-    One ``exp`` over the setup's squared distances gives every identity
-    entry; the operator rows and columns are then multiplied by their
-    closed-form polynomials. The operator rows are divided by the square
-    root of their common diagonal, as ``solve_forward`` equilibrates; every
-    other row already has unit diagonal (the data rows before the noise).
-    Returns the matrix and the operator rows' scale.
-    """
+
+def _joint_matrix(setup: ACInverseSetup, op, ell: float, noise: NoiseModel):
+    """Joint covariance of [identity@interior, operator@interior, boundary,
+    data] for operator coefficients ``op``, noise added to the data block;
+    only the operator block takes ``_sqexp_gram``'s full bilinear form."""
     r2 = setup._r2
     n_int = len(setup.design.interior_points)
+    rows = slice(n_int, 2 * n_int)
+    joint = _sqexp_gram(r2, IDENTITY, IDENTITY, ell, 2)
+    op_rows = _sqexp_gram(r2[rows], op, IDENTITY, ell, 2)
+    joint[rows] = op_rows
+    joint[:, rows] = op_rows.T
+    joint[rows, rows] = _sqexp_gram(r2[rows, rows], op, op, ell, 2)
     n_gram = len(r2) - len(setup.data_locations)
-    op_tag = OperatorTag.affine_interior(delta, -1.0 / delta)
-    ident = OperatorTag.identity()
-    a, c, d, e = op_tag.a, op_tag.c, 2, 1.0 / ell**2
-    # the operator rows' diagonal c^2 + 2ac d e + a^2 d(d+2) e^2 equals
-    # (c + a d e)^2 + 2 a^2 d e^2, which is positive
-    s = float(np.sqrt(c * c + 2.0 * a * c * d * e + a * a * d * (d + 2) * e * e))
-    op = slice(n_int, 2 * n_int)
-    joint = np.exp(-0.5 * e * r2)
-    op_op = _sqexp_pair_from_r2(op_tag, op_tag, r2[op, op], ell, d, kv=joint[op, op]) / s**2
-    op_rows = _sqexp_pair_from_r2(op_tag, ident, r2[op], ell, d, kv=joint[op]) / s
-    joint[op] = op_rows
-    joint[:, op] = op_rows.T
-    joint[op, op] = op_op
     joint[n_gram:, n_gram:] += noise.cov
-    return joint, s
+    return joint
 
 
 def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
@@ -379,7 +374,8 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
                          f"locations, noise covariance of size {noise.n}")
     zbar = setup.latent_centre(delta, j)
     n_int = zbar.size
-    joint, s = _joint_matrix(setup, delta, ell, noise)
+    op, s = _operator_rows(delta, ell)  # the joint's operator rows come out equilibrated
+    joint = _joint_matrix(setup, op, ell, noise)
     n_gram = len(joint) - y.size
     factor = chol_jitter(joint)
     z_draws, log_r = _draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)

@@ -1,12 +1,12 @@
 """Covariance functions and their images under linear differential operators.
 
 The forward solver conditions a Gaussian process on observations of the
-form ``(a * (-laplacian) + c * identity) u`` at scattered points, so every
-Gram block needs the kernel with such an operator applied to one or both
-arguments. For the squared-exponential kernel these are closed forms
-(polynomial times Gaussian); for the Green's-function kernel they are
-finite differences of a quadrature feature map. The fill distance of a
-design completes the module.
+form ``(a * (-laplacian) + c * identity) u`` at scattered points, given as
+stacked points with one coefficient pair (a, c) per row. ``gram`` builds
+every Gram matrix: for the squared-exponential kernel from one closed form
+bilinear in each side's (a, c), for the Green's-function kernel as one
+product of per-row quadrature features. The fill distance of a design
+completes the module.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "OperatorTag",
     "SqExpKernel",
     "GreensKernel1D",
+    "gram",
     "op_gram",
     "fill_distance",
     "unit_interval_probe",
@@ -59,11 +60,6 @@ class OperatorTag:
         return cls(0.0, 1.0)
 
     @classmethod
-    def affine_interior(cls, a: float, c: float) -> "OperatorTag":
-        """``a * (-laplacian) + c * identity`` acting on interior points."""
-        return cls(float(a), float(c))
-
-    @classmethod
     def boundary_trace(cls) -> "OperatorTag":
         return cls(0.0, 1.0, boundary=True)
 
@@ -94,45 +90,61 @@ def _as_points(x, dim: int) -> np.ndarray:
     return x
 
 
-def _sqexp_pair_from_r2(left: OperatorTag, right: OperatorTag, r2, ell: float, d: int,
-                        kv=None):
-    """Closed form of ``(left_x right_y k)(x, y)`` in terms of ``|x-y|^2``.
+IDENTITY = (0.0, 1.0)  # the coefficients (a, c) of the identity operator
 
-    With ``e = 1/l^2`` the building blocks are
-    ``(-lap) k = (d e - e^2 r2) k`` on either argument and
-    ``(-lap_x)(-lap_y) k = (d (d+2) e^2 - 2 (d+2) e^3 r2 + e^4 r2^2) k``;
-    both are symmetric in the two arguments, so the affine combination
-    below covers every tag pairing. ``kv`` may supply the plain kernel
-    values ``exp(-e r2 / 2)`` when the caller already has them.
+
+def _nonzero(x) -> bool:
+    return bool(x.any()) if isinstance(x, np.ndarray) else x != 0.0
+
+
+def _sqexp_gram(r2, left, right, ell: float, d: int):
+    """SE Gram entries ``(L_x R_y k)(x, y)`` from ``r2 = |x - y|^2``.
+
+    ``left`` and ``right`` are the (a, c) of the operators on the first and
+    second argument: scalars, or one value per row (per column) of ``r2``.
+    With ``e = 1/l^2``, ``(-lap) k = (d e - e^2 r2) k`` on either argument
+    and ``(-lap_x)(-lap_y) k = (d (d+2) e^2 - 2 (d+2) e^3 r2 + e^4 r2^2) k``,
+    so an entry is bilinear in the two pairs. Products commute, so equal
+    coefficients on both sides of a square ``r2`` give an exactly symmetric
+    matrix; a term whose coefficients all vanish is skipped.
     """
+    (la, lc), (ra, rc) = left, right
+    if isinstance(la, np.ndarray):
+        la, lc = la[:, None], lc[:, None]
     e = 1.0 / ell**2
-    if kv is None:
-        kv = np.exp(-0.5 * e * r2)
-    out = left.c * right.c * kv
-    mixed = left.a * right.c + left.c * right.a
-    if mixed != 0.0:
+    kv = np.exp(-0.5 * e * r2)
+    cc = lc * rc
+    out = kv if isinstance(cc, float) and cc == 1.0 else cc * kv
+    mixed = la * rc + lc * ra
+    if _nonzero(mixed):
         out = out + mixed * (d * e - e**2 * r2) * kv
-    if left.a != 0.0 and right.a != 0.0:
+    both = la * ra
+    if _nonzero(both):
         bl = d * (d + 2) * e**2 - 2.0 * (d + 2) * e**3 * r2 + e**4 * r2**2
-        out = out + left.a * right.a * bl * kv
+        out = out + both * bl * kv
     return out
 
 
-def op_gram(left: OperatorTag, right: OperatorTag, k, X, Y) -> np.ndarray:
-    """Gram block ``[(left_x right_y k)(x_i, y_j)]`` for point sets X, Y.
+def gram(k, X, left, Y=None, right=None) -> np.ndarray:
+    """Gram matrix ``[(L_i R_j k)(x_i, y_j)]`` of the kernel ``k``.
 
-    ``left`` acts on the first kernel argument and ``right`` on the
-    second; with the operators in scope this convention makes the full
-    block matrix of a solve symmetric.
+    ``left`` and ``right`` are the (a, c) on the points X and Y, scalars or
+    one value per point; without Y it is the exactly symmetric Gram of X.
     """
     if isinstance(k, SqExpKernel):
         X = _as_points(X, k.dim)
-        Y = _as_points(Y, k.dim)
+        Y = X if Y is None else _as_points(Y, k.dim)
         r2 = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
-        return _sqexp_pair_from_r2(left, right, r2, k.lengthscale, k.dim)
+        return _sqexp_gram(r2, left, left if right is None else right, k.lengthscale, k.dim)
     if isinstance(k, GreensKernel1D):
-        return k.features(left, X) @ k.features(right, Y).T
+        fx = k.features(X, *left)
+        return fx @ (fx if Y is None else k.features(Y, *right)).T
     raise UnsupportedOperatorPair(f"no operator images for kernel type {type(k).__name__}")
+
+
+def op_gram(left: OperatorTag, right: OperatorTag, k, X, Y) -> np.ndarray:
+    """``gram`` with the tag ``left`` on all of X and ``right`` on all of Y."""
+    return gram(k, X, (left.a, left.c), Y, (right.a, right.c))
 
 
 def fill_distance(design, domain_probe) -> float:
@@ -179,7 +191,7 @@ class GreensKernel1D:
     evaluated by composite Gauss-Legendre quadrature, which represents the
     kernel exactly as an inner product of feature vectors
     ``sqrt(w_q) G(x, z_q)``; operator images are central second
-    differences of the features, so every Gram block is a feature product
+    differences of the features, so every Gram matrix is a feature product
     and positive semi-definite by construction.
 
     Sample paths vanish at the boundary, so this prior is only meaningful
@@ -205,13 +217,15 @@ class GreensKernel1D:
         z = self._z[None, :]
         return np.minimum(xc, z) * (1.0 - np.maximum(xc, z))
 
-    def features(self, tag: OperatorTag, X) -> np.ndarray:
-        """Quadrature feature matrix of ``tag`` applied to the kernel, (n, q)."""
+    def features(self, X, a, c) -> np.ndarray:
+        """Features ``sqrt(w_q) (c G + a (-lap G))(x, z_q)`` of the operator
+        with coefficients (a, c), scalars or one per point; shape (n, q)."""
         x = _as_points(X, 1)[:, 0]
-        out = tag.c * self._g(x) if tag.c != 0.0 else 0.0
-        if tag.a != 0.0:
+        a, c = (np.broadcast_to(v, x.shape)[:, None] for v in (a, c))
+        g = self._g(x)
+        out = c * g
+        if a.any():
             h = 2.0 / self.quadrature_nodes  # the width of one quadrature panel
-            lap = (self._g(x + h) - 2.0 * self._g(x) + self._g(x - h)) / h**2
-            out = out + tag.a * (-lap)
-        return np.asarray(out) * self._sqw[None, :]
-
+            lap = (self._g(x + h) - 2.0 * g + self._g(x - h)) / h**2
+            out = out + a * (-lap)
+        return out * self._sqw[None, :]

@@ -67,13 +67,6 @@ class CholFactor:
     n: int
 
 
-def _as_sym_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def chol_jitter(m) -> CholFactor:
     """Cholesky factorization with a geometric jitter schedule.
 
@@ -101,7 +94,9 @@ def chol_jitter(m) -> CholFactor:
         anywhere in the lower triangle of ``m`` shows, or if a failed
         factorization meets a non-finite entry of ``m``.
     """
-    m = _as_sym_matrix(m)
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = float(np.mean(np.diag(m)))
     if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0

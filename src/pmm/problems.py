@@ -81,9 +81,6 @@ class Poisson1D:
         if not self.theta > 0.0:
             raise ValueError("theta must be positive")
 
-    def operator(self) -> OperatorTag:
-        return OperatorTag.affine_interior(self.theta, 0.0)
-
     def forcing(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.sin(2.0 * np.pi * x)
@@ -101,7 +98,7 @@ class Poisson1D:
             raise ValueError(f"unknown design mode {design!r}")
         xb = boundary_points_1d()
         return [
-            ObservationBlock(self.operator(), xi, self.forcing(xi[:, 0])),
+            ObservationBlock(OperatorTag(self.theta, 0.0), xi, self.forcing(xi[:, 0])),
             ObservationBlock(OperatorTag.boundary_trace(), xb, np.zeros(len(xb))),
         ]
 

@@ -125,7 +125,7 @@ def linearized_ac_blocks(delta: float, z, design) -> list:
     zv = np.asarray(z, dtype=float).reshape(-1)
     if len(zv) != len(design.interior_points):
         raise ValueError("latent field length does not match the interior design")
-    op = OperatorTag.affine_interior(delta, -1.0 / delta)
+    op = OperatorTag(delta, -1.0 / delta)
     return [
         ObservationBlock(op, design.interior_points, zv),
         ObservationBlock(OperatorTag.identity(), design.interior_points, np.cbrt(-delta * zv)),

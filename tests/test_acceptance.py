@@ -36,8 +36,8 @@ from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data,
 from reference import default_fd_step, fd_check
 
 ID = OperatorTag.identity()
-NL = OperatorTag.affine_interior(1.0, 0.0)
-TAGS = [ID, NL, OperatorTag.affine_interior(0.7, -2.0), OperatorTag.affine_interior(0.04, -25.0)]
+NL = OperatorTag(1.0, 0.0)
+TAGS = [ID, NL, OperatorTag(0.7, -2.0), OperatorTag(0.04, -25.0)]
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -75,6 +75,16 @@ class TestConfig:
         ("allen-cahn", ["--per_edge", "0"]),
         ("allen-cahn", ["--data_per_axis", "0"]),
         ("allen-cahn", ["--data_branch", "0"]),
+        ("forward-demo", ["--kernel", "greens", "--quadrature_nodes", "7"]),
+        ("forward-demo", ["--eval_points", "0"]),
+        ("forward-demo", ["--n_samples", "0"]),
+        ("converge", ["--theta", "0"]),
+        ("converge", ["--eval_points", "2"]),
+        ("inverse-1d", ["--prior_lo", "2", "--prior_hi", "1"]),
+        ("inverse-1d", ["--theta0", "-1"]),
+        ("inverse-1d", ["--locations", "0.25,1.5"]),
+        ("allen-cahn", ["--ell_init", "0"]),
+        ("allen-cahn", ["--ell_prior_scale", "0"]),
     ])
     def test_out_of_range_value_rejected_before_any_solve(self, tmp_path, experiment, args):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pmm import kernels
 from pmm.forward import (
     ConvergenceRow,
     ObservationBlock,
@@ -16,12 +17,29 @@ from pmm.forward import (
 )
 from pmm.kernels import GreensKernel1D, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter
-from pmm.problems import Poisson1D
-from reference import fd_check
+from pmm.problems import Poisson1D, ac_design
+from reference import fd_check, linearized_ac_blocks
 
 ID = OperatorTag.identity()
-NL = OperatorTag.affine_interior(1.0, 0.0)
+NL = OperatorTag(1.0, 0.0)
 BT = OperatorTag.boundary_trace()
+
+
+def block_by_block(blocks, k):
+    """The Gram matrix assembled from one ``op_gram`` product per block pair."""
+    return np.block([[op_gram(bi.op, bj.op, k, bi.points, bj.points) for bj in blocks]
+                     for bi in blocks])
+
+
+def mixed_1d_blocks(m):
+    """Three operators on one 1D design: a*(-lap) + c with both terms, the
+    identity, and the boundary trace."""
+    xi = interior_grid_1d(m)
+    return [
+        ObservationBlock(OperatorTag(0.7, -2.0), xi, np.zeros(m)),
+        ObservationBlock(ID, xi, np.zeros(m)),
+        ObservationBlock(BT, boundary_points_1d(), np.zeros(2)),
+    ]
 
 
 def poisson_posterior(m=16, ell=0.2, design="uniform"):
@@ -77,6 +95,34 @@ class TestAssembleGram:
                 assert gram[i, 3 + j] == op_gram(NL, BT, k, xi[i], xb[j])[0, 0]
 
 
+    @pytest.mark.parametrize("m", [4, 16, 80])
+    def test_stacked_rows_equal_block_products_sqexp(self, m):
+        # one expression over per-row coefficients, bit for bit the Gram of
+        # one closed form per block pair, for the Poisson and mixed designs
+        k = SqExpKernel(0.2)
+        for blocks in (Poisson1D().blocks(m), mixed_1d_blocks(m)):
+            np.testing.assert_array_equal(assemble_gram(blocks, k), block_by_block(blocks, k))
+
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.15])
+    def test_stacked_rows_equal_block_products_allen_cahn(self, ell):
+        design = ac_design(5, 5)
+        z = np.linspace(-20.0, 20.0, len(design.interior_points))
+        blocks = linearized_ac_blocks(0.04, z, design)
+        k = SqExpKernel(ell, dim=2)
+        np.testing.assert_array_equal(assemble_gram(blocks, k), block_by_block(blocks, k))
+
+    @pytest.mark.parametrize("m", [4, 10, 16, 40, 80])
+    def test_greens_stacked_features_symmetric_and_match_block_products(self, m):
+        # one feature product over all rows: exactly symmetric, and equal to
+        # the block-by-block products up to the order of their sums
+        k = GreensKernel1D(512)
+        for blocks in (Poisson1D().blocks(m, design="nested"), mixed_1d_blocks(m)):
+            gram = assemble_gram(blocks, k)
+            np.testing.assert_array_equal(gram, gram.T)
+            ref = block_by_block(blocks, k)
+            assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestSolveForward:
     def test_zero_data_zero_mean(self):
         problem = Poisson1D()
@@ -112,10 +158,7 @@ class TestSolveForward:
         # applying the interior operator to the mean reproduces the forcing
         problem, post = poisson_posterior(16)
         xi = interior_grid_1d(16)
-        ops = [NL, BT]
-        rows = np.hstack([
-            op_gram(NL, blk.op, SqExpKernel(0.2), xi, blk.points) for blk in post.blocks
-        ])
+        rows = kernels.gram(SqExpKernel(0.2), xi, (NL.a, NL.c), post.points, post.coeffs)
         residual = rows @ post.weights - problem.forcing(xi[:, 0])
         assert np.max(np.abs(residual)) < 1e-6
 

@@ -3,8 +3,10 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+import pmm.inverse
+import pmm.kernels
 import pmm.problems
-from pmm.forward import ObservationBlock, interior_grid_2d, solve_forward
+from pmm.forward import ObservationBlock, _equilibrate, assemble_gram, interior_grid_2d, solve_forward
 from pmm.inverse import (
     ACInverseSetup,
     AllWeightsDegenerate,
@@ -27,6 +29,7 @@ from pmm.inverse import (
     _draw_latents,
     _joint_matrix,
     _mh_chain,
+    _operator_rows,
 )
 from pmm.kernels import GreensKernel1D, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
@@ -330,7 +333,7 @@ class TestImportanceSampleZ:
 
     @staticmethod
     def shared_factor(setup, noise, delta, ell):
-        joint, _ = _joint_matrix(setup, delta, ell, noise)
+        joint = _joint_matrix(setup, _operator_rows(delta, ell)[0], ell, noise)
         factor = chol_jitter(joint)
         n_int = len(setup.design.interior_points)
         return factor, factor.lower[:n_int, :n_int]
@@ -386,6 +389,48 @@ class TestImportanceSampleZ:
         setup, y, noise = ac_context
         with pytest.raises(SolutionIndexOutOfRange):
             pm_loglik(y, 0.04, 0.2, 4, 4, noise, RngStream(0), setup=setup)
+
+
+class TestOneGramPath:
+    """``pm_loglik``'s joint matrix and the forward solver's Gram matrix are
+    one expression, ``kernels._sqexp_gram``."""
+
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.15])
+    @pytest.mark.parametrize("per_axis", [5, 8])
+    def test_joint_is_equilibrated_forward_gram(self, ac_context, per_axis, ell):
+        # the linearized solve's blocks [operator, identity, boundary] plus
+        # identity rows at the data, equilibrated as solve_forward does, with
+        # the noise added and the rows put in the joint's order
+        setup, _, noise = ac_context
+        setup = ACInverseSetup(design=ac_design(per_axis, per_axis),
+                               data_locations=setup.data_locations, cache=setup.cache)
+        delta, n_int, n_data = 0.0406, per_axis**2, len(setup.data_locations)
+        blocks = linearized_ac_blocks(delta, np.zeros(n_int), setup.design) + [
+            ObservationBlock(OperatorTag.identity(), setup.data_locations, np.zeros(n_data))]
+        gram, _ = _equilibrate(assemble_gram(blocks, SqExpKernel(ell, dim=2)))
+        gram[-n_data:, -n_data:] += noise.cov
+        order = np.r_[n_int:2 * n_int, :n_int, 2 * n_int:len(gram)]
+        joint = _joint_matrix(setup, _operator_rows(delta, ell)[0], ell, noise)
+        np.testing.assert_allclose(joint, gram[np.ix_(order, order)], rtol=0, atol=1e-14)
+
+    def test_every_gram_goes_through_the_shared_expression(self, ac_context, monkeypatch):
+        setup, y, noise = ac_context
+        shapes, real = [], pmm.kernels._sqexp_gram
+
+        def recording(r2, *args):
+            shapes.append(np.shape(r2))
+            return real(r2, *args)
+
+        monkeypatch.setattr(pmm.kernels, "_sqexp_gram", recording)
+        monkeypatch.setattr(pmm.inverse, "_sqexp_gram", recording)
+        post = solve_forward(Poisson1D().blocks(8), SqExpKernel(0.2))
+        assert shapes == [(10, 10)]  # 8 interior and 2 boundary rows, in one call
+        shapes.clear()
+        post.cov(np.linspace(0.0, 1.0, 7))
+        assert sorted(shapes) == [(7, 7), (7, 10)]  # the prior and the cross-covariance
+        shapes.clear()
+        pm_loglik(y, 0.04, 0.1, 1, 4, noise, RngStream(0), setup=setup)
+        assert setup._r2.shape in shapes
 
 
 class TestPmLoglik:

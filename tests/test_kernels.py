@@ -19,9 +19,9 @@ from pmm.problems import Poisson1D
 from reference import default_fd_step, fd_check
 
 ID = OperatorTag.identity()
-NL = OperatorTag.affine_interior(1.0, 0.0)
+NL = OperatorTag(1.0, 0.0)
 BT = OperatorTag.boundary_trace()
-TAGS = [ID, NL, OperatorTag.affine_interior(0.7, -2.0), OperatorTag.affine_interior(0.04, -25.0)]
+TAGS = [ID, NL, OperatorTag(0.7, -2.0), OperatorTag(0.04, -25.0)]
 
 
 def entry(left, right, k, x, y) -> float:
