@@ -23,7 +23,7 @@ from pmm import (
     grid_mean_std,
     grid_mode,
     grid_posterior,
-    plugin_loglik,
+    mvn_logpdf,
     pn_loglik,
     solve_forward,
 )
@@ -43,9 +43,9 @@ for m in (4, 8, 16):
     # the boundary data are zero, so the mean scales as 1/theta and the
     # covariance does not change
     post = solve_forward(Poisson1D(1.0).blocks(m), kernel)
-    mean, cov = post.mean(locations[:, None]), post.cov(locations[:, None])
-    aware = grid_posterior(grid, prior, lambda t: pn_loglik(y, mean / t, cov, noise))
-    plug = grid_posterior(grid, prior, lambda t: plugin_loglik(y, mean / t, noise))
+    means = post.mean(locations[:, None]) / grid[:, None]
+    aware = grid_posterior(grid, prior, pn_loglik(y, means, post.cov(locations[:, None]), noise))
+    plug = grid_posterior(grid, prior, mvn_logpdf(y, means, noise.cov))
     a_std = grid_mean_std(grid, aware)[1]
     p_std = grid_mean_std(grid, plug)[1]
     print(f"{m:>4} {a_std:>12.4f} / {grid_mode(grid, aware):5.3f}"

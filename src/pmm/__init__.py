@@ -23,12 +23,11 @@ from .inverse import (
     grid_mode,
     grid_posterior,
     plugin_delta_scan,
-    plugin_loglik,
     pm_mcmc,
     pn_loglik,
 )
 from .kernels import SqExpKernel
-from .linalg import RngStream
+from .linalg import RngStream, mvn_logpdf
 from .problems import DELTA_RANGE, Poisson1D, ac_deflated_solve, ac_design, generate_data
 
 # what the demos import; everything else is reached through its module
@@ -51,8 +50,8 @@ __all__ = [
     "grid_mode",
     "grid_posterior",
     "interior_grid_2d",
+    "mvn_logpdf",
     "plugin_delta_scan",
-    "plugin_loglik",
     "pm_mcmc",
     "pn_loglik",
     "sample_paths",

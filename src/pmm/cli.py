@@ -32,7 +32,6 @@ from .inverse import (
     ac_plugin_mcmc,
     grid_posterior,
     plugin_delta_scan,
-    plugin_loglik,
     pm_mcmc,
     pn_loglik,
     AllZeroMass,
@@ -40,7 +39,7 @@ from .inverse import (
     SolutionIndexOutOfRange,
 )
 from .kernels import GreensKernel1D, SqExpKernel
-from .linalg import NotPositiveDefinite, RngStream
+from .linalg import NotPositiveDefinite, RngStream, mvn_logpdf
 from .problems import (
     DELTA_RANGE,
     MIN_GRID_N,
@@ -178,6 +177,7 @@ METADATA_NOTES = {
         "delta0": "artifact choice 0.04 by default",
         "latent_prior": "improper flat prior; constant cancels in acceptance ratios",
         "identity_observation_points": "interior design points",
+        "solutions_files": "the coarse branches of delta0's cell in the solution table",
         "coarse_solutions": "one downward continuation sweep over [0.02, 0.15] at "
                             "cache_resolution, each cell seeded by the secant "
                             "predictor 2u(k+1) - u(k+2) of the two cells above, "
@@ -275,12 +275,6 @@ def _make_kernel(cfg: dict):
 # output helpers
 # ----------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
 def _write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -289,8 +283,12 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    # integers and flags as %d, floats as %.17g, by the first row's column types
+    lines, fmt = [",".join(header)], None
+    for row in rows:
+        fmt = fmt or ",".join("%d" if isinstance(v, (bool, np.bool_, int, np.integer))
+                              else "%.17g" for v in row)
+        lines.append(fmt % tuple(row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -371,10 +369,9 @@ def run_inverse_1d(cfg: dict, out_dir: str) -> list:
     def posteriors_for(m: int):
         # one solve serves every theta: the forcing is theta-free and the boundary data are zero
         post = solve_forward(Poisson1D(1.0).blocks(m, design=cfg["design"]), kernel)
-        mean, cov = post.mean(locations), post.cov(locations)
-        pmm_dens = grid_posterior(grid, prior, lambda t: pn_loglik(y, mean / t, cov, noise))
-        plug_dens = grid_posterior(grid, prior, lambda t: plugin_loglik(y, mean / t, noise))
-        return pmm_dens, plug_dens
+        means = post.mean(locations) / grid[:, None]
+        return (grid_posterior(grid, prior, pn_loglik(y, means, post.cov(locations), noise)),
+                grid_posterior(grid, prior, mvn_logpdf(y, means, noise.cov)))
 
     with _stage("grid posteriors"):
         results = [posteriors_for(m) for m in cfg["m_list"]]
@@ -393,18 +390,6 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.monotonic()
     files = []
-
-    with _stage("coarse multimodal solve"):
-        sols = ac_deflated_solve(cfg["delta0"], cfg["grid_n"], RngStream(cfg["seed"], 30))
-    for sol in sols:
-        coords = sol.coords
-        rows = [
-            (coords[i], coords[j], sol.u[j, i])
-            for j in range(sol.n) for i in range(sol.n)
-        ]
-        path = os.path.join(out_dir, f"solutions_{sol.solution_index}.csv")
-        _write_csv(path, ["x1", "x2", "u"], rows)
-        files.append(path)
 
     with _stage("data generation"):
         source = ac_deflated_solve(cfg["delta0"], cfg["data_grid_n"], RngStream(cfg["seed"], 31))
@@ -425,6 +410,13 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
             data_locations=data_locations,
             cache=CoarseSolutionCache(cfg["grid_n"], cfg["cache_resolution"]),
         )
+    for sol in setup.cache.solutions(cfg["delta0"]):
+        path = os.path.join(out_dir, f"solutions_{sol.solution_index}.csv")
+        # row-major u[j, i] sits at (x1, x2) = (coords[i], coords[j])
+        _write_csv(path, ["x1", "x2", "u"],
+                   zip(np.tile(sol.coords, sol.n), np.repeat(sol.coords, sol.n), sol.u.ravel()))
+        files.append(path)
+
     noise = NoiseModel.isotropic(cfg["sigma"], len(y))
     delta_prior = UniformPrior(*DELTA_RANGE)
 

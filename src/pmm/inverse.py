@@ -30,7 +30,6 @@ __all__ = [
     "HalfCauchyPrior",
     "PMEstimate",
     "ChainResult",
-    "plugin_loglik",
     "pn_loglik",
     "MIN_GRID_POINTS",
     "grid_posterior",
@@ -124,20 +123,16 @@ class HalfCauchyPrior:
 # likelihoods
 # ----------------------------------------------------------------------
 
-def plugin_loglik(y, mean_at_data, noise: NoiseModel) -> float:
-    """Gaussian data log-likelihood with a point estimate of the solution."""
-    return mvn_logpdf(y, mean_at_data, noise.cov)
-
-
-def pn_loglik(y, mean_at_data, cov_at_data, noise: NoiseModel) -> float:
+def pn_loglik(y, means, cov_at_data, noise: NoiseModel):
     """Data log-likelihood with the forward posterior marginalized out.
 
-    ``mean_at_data`` and ``cov_at_data`` are the forward posterior's mean
-    vector and covariance matrix at the data locations. Identical to the
-    plug-in likelihood except that the noise covariance is inflated by
-    ``cov_at_data``, which widens inference when the design is coarse.
+    ``means`` is the forward posterior's mean at the data locations, or a
+    ``(k, n)`` stack of them. The plug-in likelihood ``mvn_logpdf(y, means,
+    noise.cov)`` takes it for the solution; this one adds ``cov_at_data``,
+    the posterior covariance there, to the noise, which widens inference
+    when the design is coarse.
     """
-    return mvn_logpdf(y, mean_at_data, noise.cov + cov_at_data)
+    return mvn_logpdf(y, means, noise.cov + cov_at_data)
 
 
 # ----------------------------------------------------------------------
@@ -147,24 +142,23 @@ def pn_loglik(y, mean_at_data, cov_at_data, noise: NoiseModel) -> float:
 def grid_posterior(theta_grid, prior, loglik) -> np.ndarray:
     """Normalized posterior density on a parameter grid.
 
-    ``loglik`` maps a scalar parameter to its data log-likelihood. The
-    density is normalized to unit trapezoid integral over the grid.
+    ``loglik`` holds the data log-likelihood at each grid point; a NaN or
+    ``+inf`` raises ``FloatingPointError``. The density is normalized to
+    unit trapezoid integral; points the prior excludes get zero.
     """
     grid = np.asarray(theta_grid, dtype=float).reshape(-1)
     if grid.size < MIN_GRID_POINTS:
         raise ValueError(f"need at least {MIN_GRID_POINTS} grid points")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be sorted increasing")
-    logpost = np.array([loglik(t) + prior.logpdf(t) for t in grid])
-    finite = np.isfinite(logpost)
-    if not np.any(finite):
+    logpost = np.asarray(loglik, dtype=float).reshape(grid.shape) + [prior.logpdf(t) for t in grid]
+    bad = np.isnan(logpost) | (logpost == np.inf)
+    if bad.any():
+        raise FloatingPointError(f"log-likelihood is NaN or +inf at theta={grid[bad][0]}")
+    if np.all(logpost == -np.inf):
         raise AllZeroMass("posterior mass vanished on the whole grid")
-    shift = np.max(logpost[finite])
-    dens = np.where(finite, np.exp(logpost - shift), 0.0)
-    mass = np.trapezoid(dens, grid)
-    if mass <= 0.0:
-        raise AllZeroMass("posterior mass vanished on the whole grid")
-    return dens / mass
+    dens = np.exp(logpost - logpost.max())  # exp(-inf) = 0 where the prior excludes theta
+    return dens / np.trapezoid(dens, grid)
 
 
 def grid_mean_std(theta_grid, density):
@@ -416,19 +410,29 @@ class ChainResult:
                    self.log_estimate[t], int(self.accepted[t]))
 
 
+def _plugin_table(y, setup: ACInverseSetup, noise: NoiseModel) -> dict:
+    """The plug-in log-likelihood of every (cache cell, j) entry of the
+    branch table, from one batched Gaussian density; NaN raises."""
+    keys = list(setup._branches)
+    lls = mvn_logpdf(y, np.array([setup._branches[key][1] for key in keys]), noise.cov)
+    if np.isnan(lls).any():
+        raise FloatingPointError(f"plug-in log-likelihood is NaN at (cell, j) = "
+                                 f"{keys[np.isnan(lls).argmax()]}")
+    return dict(zip(keys, lls.tolist()))
+
+
 def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel, grid) -> float:
     """Cheap pilot: the grid value whose best coarse branch fits the data best.
 
-    Used to initialize the chains away from the prior tails.
+    The best entry of the plug-in table over the grid's cells, the first
+    in (delta, j) order on ties. Used to initialize the chains away from
+    the prior tails.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    best, best_ll = None, -np.inf
-    for delta in np.asarray(grid, dtype=float):
-        for j in range(1, len(setup.cache.solutions(delta)) + 1):
-            ll = plugin_loglik(y, setup.branch_values(delta, j)[1], noise)
-            if ll > best_ll:
-                best, best_ll = float(delta), ll
-    return best
+    table = _plugin_table(y, setup, noise)
+    cache = setup.cache
+    entries = [(float(delta), j) for delta in np.asarray(grid, dtype=float)
+               for j in range(1, len(cache.solutions(delta)) + 1)]
+    return max(entries, key=lambda e: table[cache._cell(e[0]), e[1]])[0]
 
 
 J_REPROPOSAL = 0.2  # probability that a step also redraws the solution index
@@ -562,13 +566,10 @@ def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *
     the observation noise. The chain is ``_mh_chain`` with theta = (delta,)
     and this deterministic likelihood; the ell column is NaN.
 
-    The likelihood depends on delta only through its cache cell, so it is
-    evaluated once per (cell, j) entry of the branch table, before the
-    chain starts.
+    The likelihood depends on delta only through its cache cell, so the
+    chain reads it from the table of ``_plugin_table``.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    table = {key: mvn_logpdf(y, at_data, noise.cov)
-             for key, (_, at_data) in setup._branches.items()}
+    table = _plugin_table(y, setup, noise)
 
     def loglik(theta, j, xi):
         return table[setup.cache._cell(theta[0]), j]

@@ -135,22 +135,27 @@ def psd_solve(f: CholFactor, b) -> np.ndarray:
     return cho_solve((f.lower, True), b)
 
 
-def mvn_logpdf(y, mu, cov) -> float:
+def mvn_logpdf(y, mu, cov):
     """Log-density of a multivariate normal, ``log N(y; mu, cov)``.
 
-    The covariance is factored through :func:`chol_jitter`, so nearly
-    singular covariances are evaluated at their jittered regularization.
+    A 1-D ``mu`` gives a float; a ``(k, n)`` stack of means gives ``k``
+    values from one :func:`chol_jitter` factor of ``cov`` and one triangular
+    solve (Rasmussen & Williams, GPML, Alg. 2.1). A nearly singular ``cov``
+    is evaluated at its jittered regularization.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if y.shape != mu.shape:
-        raise ValueError("y and mu must have the same length")
+    mu = np.asarray(mu, dtype=float)
+    means = mu.reshape(1, -1) if mu.ndim < 2 else mu
+    if means.ndim != 2 or means.shape[1] != y.size:
+        raise ValueError(f"means of shape {mu.shape} do not match {y.size} data values")
     f = chol_jitter(cov)
     if f.n != y.size:
         raise ValueError("covariance dimension does not match y")
-    alpha = solve_triangular(f.lower, y - mu, lower=True)
+    # chol_jitter has checked the factor; a NaN in y or the means comes out as NaN
+    alpha = solve_triangular(f.lower, (y - means).T, lower=True, check_finite=False)
     logdet = 2.0 * np.sum(np.log(np.diag(f.lower)))
-    return float(-0.5 * (y.size * _LOG_2PI + logdet + alpha @ alpha))
+    logpdf = -0.5 * (y.size * _LOG_2PI + logdet + np.sum(alpha**2, axis=0))
+    return float(logpdf[0]) if mu.ndim < 2 else logpdf
 
 
 def mvn_sample(mu, cov, n: int, rng: RngStream) -> np.ndarray:

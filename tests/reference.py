@@ -9,10 +9,13 @@ and ``sparse_ac_jacobian`` assemble the coarse Allen-Cahn operators as
 ``scipy.sparse`` matrices, against which the package's stencil and banded
 Newton solve are checked. ``plain_seed_sweep`` builds the coarse-solution
 table without the secant predictor of ``pmm.inverse.CoarseSolutionCache``.
+``gls_phi`` is the closed-form maximizer of the 1D inverse problem's
+likelihood in ``phi = 1 / theta``.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from pmm.forward import ObservationBlock
 from pmm.kernels import OperatorTag, SqExpKernel, UnsupportedOperatorPair, op_gram
@@ -163,3 +166,16 @@ def plain_seed_sweep(grid_n: int, resolution: float) -> dict:
         )
         table[cell] = sols
     return table
+
+
+def gls_phi(y, mean, cov) -> float:
+    """Closed-form maximizer of ``phi -> log N(y; phi * mean, cov)``.
+
+    Whitening by the Cholesky factor of ``cov`` turns the log-likelihood
+    into ``-|w_y - phi w_mu|^2 / 2`` plus a phi-free constant, so the
+    maximizer is ``phi* = (w_mu . w_y) / (w_mu . w_mu)``.
+    """
+    lower = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    w_y = solve_triangular(lower, np.asarray(y, dtype=float), lower=True)
+    w_mu = solve_triangular(lower, np.asarray(mean, dtype=float), lower=True)
+    return float(w_mu @ w_y / (w_mu @ w_mu))

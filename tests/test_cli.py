@@ -6,6 +6,7 @@ import pytest
 
 import pmm.cli
 import pmm.inverse
+import pmm.linalg
 from pmm.cli import ConfigError, _parse_config, main, run_inverse_1d
 from pmm.problems import SolveFailed
 
@@ -170,6 +171,28 @@ class TestInverse1D:
         cfg = _parse_config("inverse-1d", None, {"m_list": "4,8,16", "grid_n": "60"})
         run_inverse_1d(cfg, str(tmp_path))
         assert len(calls) == len(cfg["m_list"]) == 3
+
+    def test_one_factor_per_design_size_and_likelihood(self, tmp_path, monkeypatch):
+        # every likelihood factors its covariance in mvn_logpdf, once for the whole grid
+        chol, calls = pmm.linalg.chol_jitter, []
+
+        def counting(m):
+            calls.append(len(m))
+            return chol(m)
+
+        monkeypatch.setattr(pmm.linalg, "chol_jitter", counting)
+        cfg = _parse_config("inverse-1d", None, {"m_list": "4,8,16", "grid_n": "60"})
+        run_inverse_1d(cfg, str(tmp_path))
+        assert calls == [2] * (2 * len(cfg["m_list"]))
+
+    def test_nan_likelihood_names_its_stage(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pmm.cli, "generate_data",
+                            lambda theta, x, sigma, rng: np.full(len(x), np.nan))
+        out = str(tmp_path)
+        assert main(["inverse-1d", "--output-dir", out, "--grid_n", "60"]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'grid posteriors'" in err and "FloatingPointError" in err
+        assert not os.path.exists(os.path.join(out, "posterior_pmm.csv"))
 
 
 class TestAllenCahn:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -5,6 +7,7 @@ from scipy.stats import norm
 
 import pmm.inverse
 import pmm.kernels
+import pmm.linalg
 import pmm.problems
 from pmm.forward import ObservationBlock, _equilibrate, assemble_gram, interior_grid_2d, solve_forward
 from pmm.inverse import (
@@ -22,7 +25,6 @@ from pmm.inverse import (
     grid_mode,
     grid_posterior,
     plugin_delta_scan,
-    plugin_loglik,
     pm_loglik,
     pm_mcmc,
     pn_loglik,
@@ -30,11 +32,12 @@ from pmm.inverse import (
     _joint_matrix,
     _mh_chain,
     _operator_rows,
+    _plugin_table,
 )
 from pmm.kernels import GreensKernel1D, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
 from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
-from reference import linearized_ac_blocks, plain_seed_sweep
+from reference import gls_phi, linearized_ac_blocks, plain_seed_sweep
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +77,16 @@ class TestPriors:
 
 
 class TestPluginLoglik:
+    # the plug-in likelihood takes the forward mean for the solution:
+    # mvn_logpdf(y, mean, noise.cov)
     def test_at_mode(self):
         n = 4
         y = np.arange(float(n))
-        val = plugin_loglik(y, y, NoiseModel(np.eye(n)))
+        val = mvn_logpdf(y, y, NoiseModel(np.eye(n)).cov)
         assert val == pytest.approx(-0.5 * n * np.log(2 * np.pi))
 
     def test_scalar_formula(self):
-        val = plugin_loglik([0.1], [0.0], NoiseModel.isotropic(0.01, 1))
+        val = mvn_logpdf([0.1], [0.0], NoiseModel.isotropic(0.01, 1).cov)
         assert val == pytest.approx(norm.logpdf(0.1, 0.0, 0.01), rel=1e-12)
 
     def test_permutation_invariance(self):
@@ -90,8 +95,8 @@ class TestPluginLoglik:
         mu = rng.standard_normal(5)
         cov = np.diag(rng.uniform(0.5, 2.0, 5))
         perm = rng.permutation(5)
-        a = plugin_loglik(y, mu, NoiseModel(cov))
-        b = plugin_loglik(y[perm], mu[perm], NoiseModel(cov[np.ix_(perm, perm)]))
+        a = mvn_logpdf(y, mu, cov)
+        b = mvn_logpdf(y[perm], mu[perm], cov[np.ix_(perm, perm)])
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -112,7 +117,7 @@ class TestPnLoglik:
         y = np.array([0.03, -0.02])
         at = np.asarray(locs)[:, None]
         a = pn_loglik(y, post.mean(at), post.cov(at), noise)
-        b = plugin_loglik(y, post.mean(at), noise)
+        b = mvn_logpdf(y, post.mean(at), noise.cov)
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_lower_at_mode_when_inflated(self):
@@ -121,7 +126,7 @@ class TestPnLoglik:
         noise = NoiseModel.isotropic(0.01, 2)
         mu = post.mean(locs)
         assert np.trace(post.cov(locs)) > 1e-8
-        assert pn_loglik(mu, post.mean(locs), post.cov(locs), noise) < plugin_loglik(mu, mu, noise)
+        assert pn_loglik(mu, post.mean(locs), post.cov(locs), noise) < mvn_logpdf(mu, mu, noise.cov)
 
     def test_scalar_case(self):
         locs = np.array([[0.4]])
@@ -139,23 +144,42 @@ class TestGridPosterior:
     def test_constant_loglik_returns_prior(self):
         grid = np.linspace(0.01, 1.99, 100)
         prior = UniformPrior(0.0, 2.0)
-        dens = grid_posterior(grid, prior, lambda t: 0.0)
+        dens = grid_posterior(grid, prior, np.zeros_like(grid))
         np.testing.assert_allclose(dens, dens[0])
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_zero_mass(self):
         grid = np.linspace(0.1, 1.0, 60)
         with pytest.raises(AllZeroMass):
-            grid_posterior(grid, UniformPrior(2.0, 3.0), lambda t: 0.0)
+            grid_posterior(grid, UniformPrior(2.0, 3.0), np.zeros_like(grid))
 
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
-            grid_posterior(np.linspace(0, 1, 10), UniformPrior(0, 1), lambda t: 0.0)
+            grid_posterior(np.linspace(0, 1, 10), UniformPrior(0, 1), np.zeros(10))
+
+    def test_one_value_per_grid_point(self):
+        grid = np.linspace(0.1, 1.0, 60)
+        with pytest.raises(ValueError):
+            grid_posterior(grid, UniformPrior(0.0, 2.0), np.zeros(59))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_loglik_raises(self, bad):
+        grid = np.linspace(0.1, 1.0, 60)
+        loglik = np.zeros_like(grid)
+        loglik[17] = bad
+        with pytest.raises(FloatingPointError, match="theta="):
+            grid_posterior(grid, UniformPrior(0.0, 2.0), loglik)
+
+    def test_prior_minus_inf_is_zero_mass(self):
+        # the prior excludes the upper half of the grid: zero density there, no error
+        grid = np.linspace(0.1, 1.0, 60)
+        dens = grid_posterior(grid, UniformPrior(0.0, 0.55), np.zeros_like(grid))
+        assert np.all(dens[grid > 0.55] == 0.0)
+        assert np.all(dens[grid < 0.55] > 0.0)
 
     def test_gaussian_loglik_recovers_moments(self):
         grid = np.linspace(-3, 5, 400)
-        dens = grid_posterior(grid, UniformPrior(-4, 6),
-                              lambda t: norm.logpdf(t, 1.2, 0.4))
+        dens = grid_posterior(grid, UniformPrior(-4, 6), norm.logpdf(grid, 1.2, 0.4))
         mean, std = grid_mean_std(grid, dens)
         assert mean == pytest.approx(1.2, abs=1e-3)
         assert std == pytest.approx(0.4, abs=1e-3)
@@ -180,11 +204,12 @@ def scenario():
     def posterior_for(m, kind):
         # the posterior at theta has mean mean_1 / theta and covariance cov_1
         mean, cov = at_theta_1[m]
+        means = mean / grid[:, None]
         if kind == "pn":
-            return grid_posterior(grid, prior, lambda t: pn_loglik(y, mean / t, cov, noise))
-        return grid_posterior(grid, prior, lambda t: plugin_loglik(y, mean / t, noise))
+            return grid_posterior(grid, prior, pn_loglik(y, means, cov, noise))
+        return grid_posterior(grid, prior, mvn_logpdf(y, means, noise.cov))
 
-    return grid, posterior_for
+    return grid, posterior_for, y, noise, at_theta_1
 
 
 @pytest.mark.parametrize("kernel", [SqExpKernel(0.2), GreensKernel1D(512)],
@@ -204,17 +229,17 @@ def test_posterior_at_theta_is_scaled_theta_1_posterior(kernel, m):
 class TestInverse1DBehavior:
 
     def test_pn_narrows_with_design(self, scenario):
-        grid, posterior_for = scenario
+        grid, posterior_for = scenario[:2]
         stds = [grid_mean_std(grid, posterior_for(m, "pn"))[1] for m in (4, 8, 16)]
         assert stds[0] > stds[1] > stds[2]
 
     def test_plugin_width_insensitive_to_design(self, scenario):
-        grid, posterior_for = scenario
+        grid, posterior_for = scenario[:2]
         stds = [grid_mean_std(grid, posterior_for(m, "plugin"))[1] for m in (4, 8, 16)]
         assert (max(stds) - min(stds)) / max(stds) < 0.25
 
     def test_plugin_mode_bias_shrinks(self, scenario):
-        grid, posterior_for = scenario
+        grid, posterior_for = scenario[:2]
         err4 = abs(grid_mode(grid, posterior_for(4, "plugin")) - 1.0)
         err16 = abs(grid_mode(grid, posterior_for(16, "plugin")) - 1.0)
         assert err4 > err16
@@ -231,9 +256,21 @@ class TestInverse1DBehavior:
             post = solve_forward(Poisson1D(1.0).blocks(m, design="nested"), kernel)
             mean, cov = post.mean(locations[:, None]), post.cov(locations[:, None])
             a = pn_loglik(y, mean, cov, noise)
-            b = plugin_loglik(y, mean, noise)
+            b = mvn_logpdf(y, mean, noise.cov)
             gaps.append(abs(a - b))
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    def test_pn_mode_at_closed_form_mle(self, scenario, m):
+        # the PN likelihood is Gaussian in phi = 1/theta with a phi-free
+        # covariance, so its maximizer is the GLS estimate; under the flat
+        # prior the grid mode lies within one spacing of 1 / phi*
+        grid, posterior_for, y, noise, at_theta_1 = scenario
+        mean, cov = at_theta_1[m]
+        theta_star = 1.0 / gls_phi(y, mean, noise.cov + cov)
+        assert grid[0] <= theta_star <= grid[-1]
+        spacing = grid[1] - grid[0]
+        assert abs(grid_mode(grid, posterior_for(m, "pn")) - theta_star) <= spacing
 
 
 def rw_metropolis(logtarget, init, step_scales, n_steps, rng):
@@ -600,7 +637,7 @@ class TestPluginChain:
             for j, sol in enumerate(sols, start=1):
                 states.append((cell, j))
                 logp.append(np.log(width / len(sols))
-                            + plugin_loglik(y, sol.interpolate(setup.data_locations), noise))
+                            + mvn_logpdf(y, sol.interpolate(setup.data_locations), noise.cov))
         exact = np.exp(np.array(logp) - max(logp))
         exact /= exact.sum()
 
@@ -621,7 +658,9 @@ class TestPluginChain:
 
     def test_table_values_equal_direct_loglik(self, ac_context):
         # the chain reads its likelihood from a per-(cell, j) table; each
-        # retained value must be the direct plug-in evaluation, bit for bit
+        # retained value must be that table's entry, bit for bit, and each
+        # entry the direct plug-in evaluation up to the rounding of a
+        # batched triangular solve
         cache = ac_context[0].cache
         setup = ACInverseSetup(design=ac_design(3, 3), data_locations=interior_grid_2d(2),
                                cache=cache)
@@ -631,13 +670,75 @@ class TestPluginChain:
         chain = ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 300, RngStream(16),
                                setup=setup, noise=noise, init=(0.04, 1))
         assert len({(setup.cache._cell(d), j) for d, j in zip(chain.delta, chain.j)}) > 5
+        table = _plugin_table(y, setup, noise)
         for delta, j, ll in zip(chain.delta, chain.j, chain.log_estimate):
-            assert ll == mvn_logpdf(y, setup.branch_values(delta, j)[1], noise.cov)
+            entry = table[setup.cache._cell(delta), j]
+            assert ll == entry
+            direct = mvn_logpdf(y, setup.branch_values(delta, j)[1], noise.cov)
+            assert entry == pytest.approx(direct, rel=1e-13, abs=0.0)
 
     def test_pilot_scan_finds_neighborhood(self, ac_context):
         setup, y, noise = ac_context
         best = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
         assert abs(best - 0.04) < 0.02
+
+    def test_pilot_scan_is_first_best_entry(self, ac_context):
+        # the scan's oracle: every (delta, j) pair in turn, first strict maximum
+        setup, y, noise = ac_context
+        grid = np.arange(0.025, 0.146, 0.01)
+        best, best_ll = None, -np.inf
+        for delta in grid:
+            for j in range(1, len(setup.cache.solutions(delta)) + 1):
+                ll = mvn_logpdf(y, setup.branch_values(delta, j)[1], noise.cov)
+                if ll > best_ll:
+                    best, best_ll = float(delta), ll
+        assert plugin_delta_scan(y, setup, noise, grid) == best
+
+    def test_pilot_scan_ties_go_to_the_smallest_delta(self, ac_context, monkeypatch):
+        setup, y, noise = ac_context
+        monkeypatch.setattr(pmm.inverse, "_plugin_table",
+                            lambda y, setup, noise: dict.fromkeys(setup._branches, -1.0))
+        grid = np.arange(0.025, 0.146, 0.01)
+        assert plugin_delta_scan(y, setup, noise, grid) == grid[0]
+
+    def test_table_has_one_entry_per_branch(self, ac_context):
+        setup, y, noise = ac_context
+        table = _plugin_table(y, setup, noise)
+        assert list(table) == list(setup._branches)
+        assert len(table) == 198  # 66 cells of three branches each
+        assert all(type(v) is float for v in table.values())
+
+    def test_table_factors_once(self, ac_context, monkeypatch):
+        setup, y, noise = ac_context
+        calls = []
+        chol = pmm.linalg.chol_jitter
+
+        def counted(m):
+            calls.append(1)
+            return chol(m)
+
+        monkeypatch.setattr(pmm.linalg, "chol_jitter", counted)
+        plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
+        assert len(calls) == 1
+        ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 50, RngStream(17), setup=setup,
+                       noise=noise, init=(0.04, 1))
+        assert len(calls) == 2
+
+    def test_nan_entry_raises_before_either_chain(self, ac_context, monkeypatch):
+        setup, y, noise = ac_context
+        key = next(iter(setup._branches))
+        at_interior, at_data = setup._branches[key]
+        poisoned = at_data.copy()
+        poisoned[3] = np.nan
+        monkeypatch.setitem(setup._branches, key, (at_interior, poisoned))
+        chains = []
+        monkeypatch.setattr(pmm.inverse, "_mh_chain", lambda *args: chains.append(args))
+        with pytest.raises(FloatingPointError, match=re.escape(str(key))):
+            plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
+        with pytest.raises(FloatingPointError, match="NaN"):
+            ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 10, RngStream(18), setup=setup,
+                           noise=noise, init=(0.04, 1))
+        assert chains == []
 
 
 class TestCoarseCache:
@@ -646,6 +747,17 @@ class TestCoarseCache:
         a = setup.cache.solutions(0.0401)
         b = setup.cache.solutions(0.0399)
         assert a is b  # same 0.002 cell
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cell_at_delta0_matches_cold_solve(self, ac_context, seed):
+        # allen-cahn writes solutions_*.csv from the cell of delta0 = 0.04;
+        # a cold deflated solve there finds the same branches in the same order
+        cold = ac_deflated_solve(0.04, 31, RngStream(seed, 30))
+        cell = ac_context[0].cache.solutions(0.04)
+        assert len(cold) == len(cell) == 3
+        for a, b in zip(cold, cell):
+            assert a.solution_index == b.solution_index
+            np.testing.assert_allclose(b.u, a.u, rtol=0.0, atol=1e-12)
 
     def test_continuation_to_thin_interfaces(self, ac_context):
         # a cold deflated solve at the bottom of the range misses branches;

@@ -148,6 +148,36 @@ class TestMvnLogpdf:
         with pytest.raises(ValueError):
             mvn_logpdf([0.0, 1.0], [0.0], [[1.0]])
 
+    def test_one_mean_gives_a_float(self):
+        val = mvn_logpdf(np.ones(3), np.zeros(3), random_spd(3, 13))
+        assert type(val) is float
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (1, 5), (7, 1), (40, 6)])
+    def test_batch_matches_per_row_loop(self, k, n):
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal(n)
+        means = rng.standard_normal((k, n))
+        cov = random_spd(n, 15)
+        got = mvn_logpdf(y, means, cov)
+        assert isinstance(got, np.ndarray) and got.shape == (k,)
+        want = np.array([mvn_logpdf(y, mu, cov) for mu in means])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("y,means,cov", [
+        (np.zeros(4), np.zeros((5, 3)), random_spd(3, 17)),  # y longer than the means
+        (np.zeros(2), np.zeros((5, 3)), random_spd(3, 17)),  # y shorter than the means
+        (np.zeros(3), np.zeros((5, 3)), random_spd(4, 17)),  # covariance of the wrong size
+        (np.zeros(3), np.zeros((2, 5, 3)), random_spd(3, 17)),  # means of three dimensions
+    ])
+    def test_batch_shape_mismatch(self, y, means, cov):
+        with pytest.raises(ValueError):
+            mvn_logpdf(y, means, cov)
+
+    def test_nan_data_gives_nan(self):
+        # non-finite data reach the caller as NaN, which it must reject
+        got = mvn_logpdf([0.0, np.nan], np.zeros((3, 2)), np.eye(2))
+        assert np.isnan(got).all()
+
 
 class TestMvnSample:
     def test_degenerate_cov_stays_near_mean(self):
