@@ -38,7 +38,7 @@ from .inverse import (
     AllWeightsDegenerate,
     SolutionIndexOutOfRange,
 )
-from .kernels import GreensKernel1D, SqExpKernel
+from .kernels import Matern72Kernel, SqExpKernel
 from .linalg import NotPositiveDefinite, RngStream, mvn_logpdf
 from .problems import (
     DELTA_RANGE,
@@ -100,7 +100,6 @@ SCHEMAS = {
         "m_values": (_int_list, "10,40"),
         "kernel": (str, "sqexp"),
         "lengthscale": (float, 0.2),
-        "quadrature_nodes": (int, 512),
         "design": (str, "nested"),
         "eval_points": (int, 512),
         "n_samples": (int, 20),
@@ -110,7 +109,6 @@ SCHEMAS = {
         "m_list": (_int_list, "5,10,20,40,80"),
         "kernel": (str, "sqexp"),
         "lengthscale": (float, 0.1),
-        "quadrature_nodes": (int, 512),
         "design": (str, "nested"),
         "eval_points": (int, 512),
         "theta": (float, 1.0),
@@ -123,7 +121,6 @@ SCHEMAS = {
         "m_list": (_int_list, "4,8,16"),
         "kernel": (str, "sqexp"),
         "lengthscale": (float, 0.2),
-        "quadrature_nodes": (int, 512),
         "design": (str, "uniform"),
         "prior_lo": (float, 0.25),
         "prior_hi": (float, 4.0),
@@ -226,8 +223,8 @@ MIN_EVAL_POINTS = 16
 
 def _validate(experiment: str, cfg: dict) -> None:
     if "kernel" in cfg:
-        if cfg["kernel"] not in ("sqexp", "greens"):
-            raise ConfigError(f"kernel must be 'sqexp' or 'greens', got {cfg['kernel']!r}")
+        if cfg["kernel"] not in KERNELS:
+            raise ConfigError(f"kernel must be 'sqexp' or 'matern72', got {cfg['kernel']!r}")
         try:
             _make_kernel(cfg)  # each kernel checks its own parameters
         except ValueError as exc:
@@ -265,10 +262,11 @@ def _validate(experiment: str, cfg: dict) -> None:
             raise ConfigError("burn_in must be smaller than n_steps")
 
 
+KERNELS = {"sqexp": SqExpKernel, "matern72": Matern72Kernel}
+
+
 def _make_kernel(cfg: dict):
-    if cfg["kernel"] == "greens":
-        return GreensKernel1D(cfg["quadrature_nodes"])
-    return SqExpKernel(cfg["lengthscale"])
+    return KERNELS[cfg["kernel"]](cfg["lengthscale"])
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +479,21 @@ def _collect_overrides(pairs) -> dict:
     return overrides
 
 
+def _manifest_config(path: str, experiment: str) -> dict:
+    """The configuration a run manifest stores, as key -> value strings."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a JSON manifest: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f"{path} is not a run manifest: no \"config\" object")
+    if manifest.get("experiment") != experiment:
+        raise ConfigError(f"manifest is for {manifest.get('experiment')!r}, not {experiment!r}")
+    return {k: str(v) if not isinstance(v, list) else ",".join(map(str, v))
+            for k, v in manifest["config"].items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pmm",
@@ -497,13 +510,7 @@ def main(argv=None) -> int:
         overrides = _collect_overrides(extra)
         base_cfg = {}
         if args.from_manifest:
-            with open(args.from_manifest, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            if manifest.get("experiment") != args.experiment:
-                raise ConfigError(
-                    f"manifest is for {manifest.get('experiment')!r}, not {args.experiment!r}")
-            base_cfg = {k: str(v) if not isinstance(v, list) else ",".join(map(str, v))
-                        for k, v in manifest["config"].items()}
+            base_cfg = _manifest_config(args.from_manifest, args.experiment)
         cfg = _parse_config(args.experiment, args.config, {**base_cfg, **overrides})
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,10 +3,9 @@
 The forward solver conditions a Gaussian process on observations of the
 form ``(a * (-laplacian) + c * identity) u`` at scattered points, given as
 stacked points with one coefficient pair (a, c) per row. ``gram`` builds
-every Gram matrix: for the squared-exponential kernel from one closed form
-bilinear in each side's (a, c), for the Green's-function kernel as one
-product of per-row quadrature features. The fill distance of a design
-completes the module.
+every Gram matrix from the squared distances between the points and the
+kernel's closed form, bilinear in each side's (a, c): squared-exponential
+or Matern-7/2. The fill distance of a design completes the module.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ __all__ = [
     "EmptyDesign",
     "OperatorTag",
     "SqExpKernel",
-    "GreensKernel1D",
+    "Matern72Kernel",
     "gram",
     "op_gram",
     "fill_distance",
@@ -44,7 +43,7 @@ class OperatorTag:
     ``boundary`` marks the trace operator, which acts as the identity but
     is only admissible on boundary points. All operators in scope reduce
     to this affine family, which is what makes every pairing of tags
-    available in closed form for the squared-exponential kernel.
+    available in closed form for either kernel.
     """
 
     a: float
@@ -65,8 +64,8 @@ class OperatorTag:
 
 
 @dataclass(frozen=True)
-class SqExpKernel:
-    """Squared-exponential covariance ``exp(-|x - y|^2 / (2 l^2))``."""
+class _RadialKernel:
+    """A unit-variance radial covariance with a lengthscale, in 1D or 2D."""
 
     lengthscale: float
     dim: int = 1
@@ -76,6 +75,16 @@ class SqExpKernel:
             raise ValueError("lengthscale must be positive")
         if self.dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
+
+
+class SqExpKernel(_RadialKernel):
+    """Squared-exponential covariance ``exp(-|x - y|^2 / (2 l^2))``."""
+
+
+class Matern72Kernel(_RadialKernel):
+    """Matern covariance of smoothness 7/2, ``(1 + s + 2 s^2/5 + s^3/15) e^-s``
+    with ``s = sqrt(7) |x - y| / l``: finitely smooth, six times
+    differentiable at the origin, so its images up to the bilaplacian exist."""
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -125,6 +134,32 @@ def _sqexp_gram(r2, left, right, ell: float, d: int):
     return out
 
 
+def _matern72_gram(r2, left, right, ell: float, d: int):
+    """Matern-7/2 Gram entries ``(L_x R_y k)(x, y)`` from ``r2 = |x - y|^2``.
+
+    The same bilinear form as ``_sqexp_gram``: with ``rho = sqrt(7)/l`` and
+    ``s = rho |x - y|``, ``(-lap) k = rho^2/15 (3d + 3d s + (d-1) s^2 - s^3) e^-s``
+    on either argument and
+    ``(-lap_x)(-lap_y) k = rho^4/15 (d (d+2) (1 + s) - 2 (d+2) s^2 + s^3) e^-s``.
+    """
+    (la, lc), (ra, rc) = left, right
+    if isinstance(la, np.ndarray):
+        la, lc = la[:, None], lc[:, None]
+    rho = np.sqrt(7.0) / ell
+    s = rho * np.sqrt(r2)
+    ev = np.exp(-s)
+    out = lc * rc * (1.0 + s + 0.4 * s**2 + s**3 / 15.0) * ev
+    mixed = la * rc + lc * ra
+    if _nonzero(mixed):
+        lap = rho**2 / 15.0 * (3 * d + 3 * d * s + (d - 1) * s**2 - s**3)
+        out = out + mixed * lap * ev
+    both = la * ra
+    if _nonzero(both):
+        bl = rho**4 / 15.0 * (d * (d + 2) * (1.0 + s) - 2 * (d + 2) * s**2 + s**3)
+        out = out + both * bl * ev
+    return out
+
+
 def gram(k, X, left, Y=None, right=None) -> np.ndarray:
     """Gram matrix ``[(L_i R_j k)(x_i, y_j)]`` of the kernel ``k``.
 
@@ -132,14 +167,15 @@ def gram(k, X, left, Y=None, right=None) -> np.ndarray:
     one value per point; without Y it is the exactly symmetric Gram of X.
     """
     if isinstance(k, SqExpKernel):
-        X = _as_points(X, k.dim)
-        Y = X if Y is None else _as_points(Y, k.dim)
-        r2 = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
-        return _sqexp_gram(r2, left, left if right is None else right, k.lengthscale, k.dim)
-    if isinstance(k, GreensKernel1D):
-        fx = k.features(X, *left)
-        return fx @ (fx if Y is None else k.features(Y, *right)).T
-    raise UnsupportedOperatorPair(f"no operator images for kernel type {type(k).__name__}")
+        closed_form = _sqexp_gram
+    elif isinstance(k, Matern72Kernel):
+        closed_form = _matern72_gram
+    else:
+        raise UnsupportedOperatorPair(f"no operator images for kernel type {type(k).__name__}")
+    X = _as_points(X, k.dim)
+    Y = X if Y is None else _as_points(Y, k.dim)
+    r2 = np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=-1)
+    return closed_form(r2, left, left if right is None else right, k.lengthscale, k.dim)
 
 
 def op_gram(left: OperatorTag, right: OperatorTag, k, X, Y) -> np.ndarray:
@@ -180,52 +216,3 @@ def unit_square_probe(n: int = 200) -> np.ndarray:
     g = np.linspace(0.0, 1.0, n)
     a, b = np.meshgrid(g, g, indexing="ij")
     return np.column_stack([a.ravel(), b.ravel()])
-
-
-class GreensKernel1D:
-    """Prior covariance built from the Dirichlet Green's function on (0, 1).
-
-    The kernel is ``k(x, y) = int_0^1 G(x, z) G(y, z) dz`` with
-    ``G(x, z) = min(x, z) (1 - max(x, z))``, the Green's function of the
-    negative second derivative with zero boundary values. The integral is
-    evaluated by composite Gauss-Legendre quadrature, which represents the
-    kernel exactly as an inner product of feature vectors
-    ``sqrt(w_q) G(x, z_q)``; operator images are central second
-    differences of the features, so every Gram matrix is a feature product
-    and positive semi-definite by construction.
-
-    Sample paths vanish at the boundary, so this prior is only meaningful
-    for problems with zero Dirichlet data.
-    """
-
-    dim = 1
-
-    def __init__(self, quadrature_nodes: int = 256):
-        if quadrature_nodes < 8 or quadrature_nodes % 2:
-            raise ValueError("quadrature_nodes must be an even count >= 8")
-        self.quadrature_nodes = quadrature_nodes
-        panels = quadrature_nodes // 2
-        gx, gw = np.polynomial.legendre.leggauss(2)
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        self._z = (half[:, None] * gx[None, :] + mid[:, None]).ravel()
-        self._sqw = np.sqrt((half[:, None] * gw[None, :]).ravel())
-
-    def _g(self, x: np.ndarray) -> np.ndarray:
-        xc = x[:, None]
-        z = self._z[None, :]
-        return np.minimum(xc, z) * (1.0 - np.maximum(xc, z))
-
-    def features(self, X, a, c) -> np.ndarray:
-        """Features ``sqrt(w_q) (c G + a (-lap G))(x, z_q)`` of the operator
-        with coefficients (a, c), scalars or one per point; shape (n, q)."""
-        x = _as_points(X, 1)[:, 0]
-        a, c = (np.broadcast_to(v, x.shape)[:, None] for v in (a, c))
-        g = self._g(x)
-        out = c * g
-        if a.any():
-            h = 2.0 / self.quadrature_nodes  # the width of one quadrature panel
-            lap = (self._g(x + h) - 2.0 * g + self._g(x - h)) / h**2
-            out = out + a * (-lap)
-        return out * self._sqw[None, :]

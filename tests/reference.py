@@ -1,7 +1,8 @@
 """Reference oracles that the tests compare the package against.
 
 ``fd_check`` rebuilds the closed-form operator kernels of
-``pmm.kernels.op_gram`` from finite differences of the plain kernel, and
+``pmm.kernels.op_gram`` from finite differences of the plain kernel, for
+the squared-exponential and the Matern-7/2 kernel, and
 ``linearized_ac_blocks`` states the latent-linearized Allen-Cahn system as
 observation blocks for the public forward solver, which is what
 ``pmm.inverse.pm_loglik`` fills in one joint matrix. ``sparse_laplacian``
@@ -18,7 +19,13 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from pmm.forward import ObservationBlock
-from pmm.kernels import OperatorTag, SqExpKernel, UnsupportedOperatorPair, op_gram
+from pmm.kernels import (
+    Matern72Kernel,
+    OperatorTag,
+    SqExpKernel,
+    UnsupportedOperatorPair,
+    op_gram,
+)
 from pmm.linalg import RngStream
 from pmm.problems import DELTA_RANGE, ac_deflated_solve
 
@@ -32,9 +39,18 @@ def _point(x, dim: int) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(-1, dim)[0]
 
 
-def _kernel(k: SqExpKernel, x, y) -> float:
+def _matern72(r2, ell):
+    """The Matern-7/2 kernel at ``r2 = |x - y|^2``, in the precision of
+    ``r2`` and ``ell``."""
+    s = np.sqrt(7 * r2) / ell
+    return (1 + s + 2 * s**2 / 5 + s**3 / 15) * np.exp(-s)
+
+
+def _kernel(k, x, y) -> float:
     """``k(x, y)`` at a single pair of points."""
     r2 = float(np.sum((_point(x, k.dim) - _point(y, k.dim)) ** 2))
+    if isinstance(k, Matern72Kernel):
+        return float(_matern72(r2, k.lengthscale))
     return float(np.exp(-0.5 * r2 / k.lengthscale**2))
 
 
@@ -46,7 +62,7 @@ def default_fd_step(left: OperatorTag, right: OperatorTag, k) -> float:
     delicate. The result always lies in the admissible window
     ``[1e-5, 1e-3]``.
     """
-    if isinstance(k, SqExpKernel) and order(left) + order(right) >= 4:
+    if order(left) + order(right) >= 4:
         return float(np.clip(7e-4 * k.lengthscale, 1e-5, 1e-3))
     return 1e-4
 
@@ -54,7 +70,7 @@ def default_fd_step(left: OperatorTag, right: OperatorTag, k) -> float:
 def fd_check(
     left: OperatorTag,
     right: OperatorTag,
-    k: SqExpKernel,
+    k,
     x,
     y,
     h_fd: float,
@@ -69,8 +85,8 @@ def fd_check(
     magnitude of the operator pair at the evaluation point; the floor
     guards zero crossings of the polynomial factor.
     """
-    if not isinstance(k, SqExpKernel):
-        raise UnsupportedOperatorPair("fd_check targets the squared-exponential closed forms")
+    if not isinstance(k, (SqExpKernel, Matern72Kernel)):
+        raise UnsupportedOperatorPair("fd_check targets the SE and Matern-7/2 closed forms")
     if not 1e-5 <= h_fd <= 1e-3:
         raise ValueError("h_fd must lie in [1e-5, 1e-3]")
     if order(left) == 0 and order(right) == 0:
@@ -86,6 +102,8 @@ def fd_check(
     ell2 = ld(k.lengthscale) ** 2
 
     def kf(a, b):
+        if isinstance(k, Matern72Kernel):
+            return _matern72(np.sum((a - b) ** 2), ld(k.lengthscale))
         return np.exp(-np.sum((a - b) ** 2) / (2.0 * ell2))
 
     def op_y(a, b):
@@ -110,9 +128,11 @@ def fd_check(
 
     value = float(op_gram(left, right, k, x, y)[0, 0])
     kval = _kernel(k, x, y)
+    # the curvature -k''(0) is 1/l^2 for SE and 7/(5 l^2) for Matern-7/2
+    curvature = 1.4 if isinstance(k, Matern72Kernel) else 1.0
     mag = kval
     for tag in (left, right):
-        mag *= abs(tag.c) + abs(tag.a) * (d + 2) / k.lengthscale**2
+        mag *= abs(tag.c) + abs(tag.a) * (d + 2) * curvature / k.lengthscale**2
     denom = max(abs(value), 0.01 * mag)
     return float(abs(float(fd) - value) / denom)
 

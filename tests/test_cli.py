@@ -76,7 +76,7 @@ class TestConfig:
         ("allen-cahn", ["--per_edge", "0"]),
         ("allen-cahn", ["--data_per_axis", "0"]),
         ("allen-cahn", ["--data_branch", "0"]),
-        ("forward-demo", ["--kernel", "greens", "--quadrature_nodes", "7"]),
+        ("forward-demo", ["--kernel", "greens"]),
         ("forward-demo", ["--eval_points", "0"]),
         ("forward-demo", ["--n_samples", "0"]),
         ("converge", ["--theta", "0"]),
@@ -133,6 +133,13 @@ class TestConverge:
         traces = [float(r[3]) for r in rows]
         assert errs == sorted(errs, reverse=True)
         assert traces == sorted(traces, reverse=True)
+
+    def test_matern72_defaults_error_non_increasing(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["converge", "--output-dir", out, "--kernel", "matern72"]) == 0
+        _, rows = read_csv(os.path.join(out, "convergence.csv"))
+        errs = [float(r[2]) for r in rows]
+        assert all(b <= a for a, b in zip(errs, errs[1:]))
 
     def test_uniform_h_column(self, tmp_path):
         out = str(tmp_path)
@@ -253,6 +260,29 @@ class TestManifestRerun:
         assert csvs
         for name in csvs:
             assert file_bytes(first / name) == file_bytes(second / name), name
+
+    @pytest.mark.parametrize("text", ["{not json", '{"experiment": "converge"}', "[1, 2]"],
+                             ids=["not-json", "no-config", "list"])
+    def test_malformed_manifest_is_a_config_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["converge", "--output-dir", str(out), "--from-manifest", str(manifest)]) == 2
+        assert str(manifest) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_with_removed_key_is_refused(self, tmp_path, capsys):
+        # a forward-demo manifest written while the Green's kernel existed
+        first = tmp_path / "first"
+        assert main(["forward-demo", "--output-dir", str(first), "--eval_points", "32"]) == 0
+        path = first / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["config"]["quadrature_nodes"] = 512
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["forward-demo", "--output-dir", str(out), "--from-manifest", str(path)]) == 2
+        assert "quadrature_nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_experiment_mismatch(self, tmp_path):
         out = tmp_path / "out"

@@ -5,11 +5,12 @@ from scipy.spatial import cKDTree
 from pmm.forward import edge_points_2d, interior_grid_2d
 from pmm.kernels import (
     EmptyDesign,
-    GreensKernel1D,
+    Matern72Kernel,
     OperatorTag,
     SqExpKernel,
     UnsupportedOperatorPair,
     fill_distance,
+    gram,
     op_gram,
     unit_interval_probe,
     unit_square_probe,
@@ -49,10 +50,11 @@ class TestKernelEval:
             assert entry(ID, ID, k2, p, q) == entry(ID, ID, k2, q, p)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SqExpKernel(0.0)
-        with pytest.raises(ValueError):
-            SqExpKernel(1.0, dim=3)
+        for kernel in (SqExpKernel, Matern72Kernel):
+            with pytest.raises(ValueError):
+                kernel(0.0)
+            with pytest.raises(ValueError):
+                kernel(1.0, dim=3)
 
 
 class TestOperatorTag:
@@ -152,6 +154,20 @@ class TestFdCheck:
             worst = max(worst, fd_check(left, right, k, x, y, default_fd_step(left, right, k)))
         assert worst < 1e-4
 
+    def test_200_random_cases_matern72(self):
+        # the same property for the Matern-7/2 closed forms
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for _ in range(200):
+            ell = rng.uniform(0.1, 2.0)
+            dim = int(rng.integers(1, 3))
+            k = Matern72Kernel(ell, dim)
+            left = TAGS[rng.integers(0, len(TAGS))]
+            right = TAGS[rng.integers(0, len(TAGS))]
+            x, y = rng.uniform(0, 1, (2, dim))
+            worst = max(worst, fd_check(left, right, k, x, y, default_fd_step(left, right, k)))
+        assert worst < 1e-4
+
     def test_step_window_enforced(self):
         k = SqExpKernel(1.0)
         with pytest.raises(ValueError):
@@ -215,50 +231,26 @@ class TestFillDistance:
             assert fill_distance(design, probe) == want
 
 
-class TestGreensKernel:
-    def test_refinement(self):
-        # Gram on the 10-point interior design grid: 256 nodes vs a 4x
-        # refinement, entrywise
-        pts = (np.arange(1, 11) / 11)[:, None]
-        coarse = GreensKernel1D(256)
-        fine = GreensKernel1D(1024)
-        g1 = op_gram(ID, ID, coarse, pts, pts)
-        g2 = op_gram(ID, ID, fine, pts, pts)
-        assert np.max(np.abs(g1 - g2) / np.abs(g2)) < 1e-4
-
-    def test_brute_force_quadrature(self):
-        # k(x, y) = int G(x,z) G(y,z) dz against a dense trapezoid rule
-        z = np.linspace(0.0, 1.0, 200_001)
-
-        def g(x):
-            return np.minimum(x, z) * (1.0 - np.maximum(x, z))
-
-        k = GreensKernel1D(256)
-        for x, y in [(0.3, 0.3), (0.2, 0.7), (0.5, 0.9)]:
-            ref = np.trapezoid(g(x) * g(y), z)
-            assert entry(ID, ID, k, x, y) == pytest.approx(ref, rel=2e-4)
+class TestMatern72Kernel:
+    @pytest.mark.parametrize("ell", [0.2, 1.0, 1.7])
+    def test_coincident_anchors(self, ell):
+        # at r = 0: (-lap) k = 7 d / (5 l^2), (-lap)(-lap) k = 49 d (d+2) / (15 l^4)
+        for dim in (1, 2):
+            k = Matern72Kernel(ell, dim)
+            x = np.full(dim, 0.4)
+            want1 = 7.0 * dim / (5.0 * ell**2)
+            want2 = 49.0 * dim * (dim + 2) / (15.0 * ell**4)
+            assert entry(NL, ID, k, x, x) == pytest.approx(want1, rel=1e-10)
+            assert entry(NL, NL, k, x, x) == pytest.approx(want2, rel=1e-10)
 
     def test_symmetric_and_psd(self):
-        k = GreensKernel1D()
-        pts = np.random.default_rng(6).uniform(0.02, 0.98, (20, 1))
-        gram = op_gram(ID, ID, k, pts, pts)
-        np.testing.assert_allclose(gram, gram.T, rtol=0, atol=1e-15)
-        f = chol_jitter(gram)
-        assert f.jitter_used <= 1e-6 * np.mean(np.diag(gram))
-
-    def test_boundary_features_vanish(self):
-        k = GreensKernel1D()
-        assert entry(ID, ID, k, 0.0, 0.5) == 0.0
-        assert entry(ID, ID, k, 1.0, 1.0) == 0.0
-
-    def test_operator_image_approximates_greens_function(self):
-        # (-d2/dx2 applied to the first argument) k(x, y) ~= G(y, x)
-        k = GreensKernel1D(512)
-        for x, y in [(0.3, 0.7), (0.6, 0.2)]:
-            val = entry(NL, ID, k, x, y)
-            ref = min(x, y) * (1 - max(x, y))
-            assert val == pytest.approx(ref, rel=5e-3)
-
-    def test_node_count_validation(self):
-        with pytest.raises(ValueError):
-            GreensKernel1D(7)
+        # mixed operator rows on 20 random points: an exactly symmetric Gram
+        # that factors without jitter
+        rng = np.random.default_rng(6)
+        for dim in (1, 2):
+            pts = rng.uniform(0.02, 0.98, (20, dim))
+            tags = [TAGS[i] for i in rng.integers(0, len(TAGS), 20)]
+            coeffs = (np.array([t.a for t in tags]), np.array([t.c for t in tags]))
+            g = gram(Matern72Kernel(0.2, dim), pts, coeffs)
+            np.testing.assert_array_equal(g, g.T)
+            assert chol_jitter(g).jitter_used == 0.0
