@@ -175,6 +175,7 @@ METADATA_NOTES = {
         "latent_prior": "improper flat prior; constant cancels in acceptance ratios",
         "identity_observation_points": "interior design points",
         "solutions_files": "the coarse branches of delta0's cell in the solution table",
+        "burn_in": "recorded for summaries only; both chain CSVs hold every step",
         "coarse_solutions": "one downward continuation sweep over [0.02, 0.15] at "
                             "cache_resolution, each cell seeded by the secant "
                             "predictor 2u(k+1) - u(k+2) of the two cells above, "

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .kernels import IDENTITY, _sqexp_gram
+from .kernels import IDENTITY, _sqexp_form, _sqexp_gram
 from .linalg import RngStream, chol_jitter, mvn_logpdf
 from .problems import DELTA_RANGE, ACDesign, GridSolution, ac_deflated_solve
 
@@ -320,15 +320,16 @@ def _operator_rows(delta: float, ell: float):
 def _joint_matrix(setup: ACInverseSetup, op, ell: float, noise: NoiseModel):
     """Joint covariance of [identity@interior, operator@interior, boundary,
     data] for operator coefficients ``op``, noise added to the data block;
-    only the operator block takes ``_sqexp_gram``'s full bilinear form."""
+    the operator rows take the full bilinear form of the one set of kernel values."""
     r2 = setup._r2
     n_int = len(setup.design.interior_points)
     rows = slice(n_int, 2 * n_int)
-    joint = _sqexp_gram(r2, IDENTITY, IDENTITY, ell, 2)
-    op_rows = _sqexp_gram(r2[rows], op, IDENTITY, ell, 2)
+    joint = _sqexp_gram(r2, IDENTITY, IDENTITY, ell, 2)  # the kernel values themselves
+    op_rows = _sqexp_form(joint[rows], r2[rows], op, IDENTITY, ell, 2)
+    op_block = _sqexp_form(joint[rows, rows], r2[rows, rows], op, op, ell, 2)
     joint[rows] = op_rows
     joint[:, rows] = op_rows.T
-    joint[rows, rows] = _sqexp_gram(r2[rows, rows], op, op, ell, 2)
+    joint[rows, rows] = op_block
     n_gram = len(r2) - len(setup.data_locations)
     joint[n_gram:, n_gram:] += noise.cov
     return joint
@@ -350,14 +351,16 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     The latent field only enters the right-hand side, so one Cholesky
     factor ``L`` of the joint covariance of [identity@interior,
     operator@interior, boundary, data] serves every particle (Rasmussen &
-    Williams, GPML, Alg. 2.1): ``L^-1 [rhs; y]`` ends in the whitened
-    residual of the data against the forward posterior mean, and the
-    trailing diagonal of ``L`` gives the log-determinant of the marginal
-    data covariance. The proposal covariance is the identity@interior
-    block, so the leading block of the same ``L`` draws the particles and
-    gives their densities. When ``chol_jitter`` has to jitter the joint,
-    the proposal is the leading block of the jittered joint; draws and
-    densities still come from one factor, so the estimate stays unbiased.
+    Williams, GPML, Alg. 2.1). One triangular solve with ``n_data``
+    right-hand sides gives ``G``, the data rows of ``L^-1``, which take each
+    particle's [rhs; y] to its whitened residual against the forward
+    posterior mean; the trailing diagonal of ``L`` gives the log-determinant
+    of the marginal data covariance. The proposal covariance is the
+    identity@interior block, so the leading block of the same ``L`` draws
+    the particles and gives their densities. When ``chol_jitter`` has to
+    jitter the joint, the proposal is the leading block of the jittered
+    joint; draws and densities still come from one factor, so the estimate
+    stays unbiased.
     """
     if m_particles < 1:
         raise ValueError("need at least one particle")
@@ -370,18 +373,18 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     n_int = zbar.size
     op, s = _operator_rows(delta, ell)  # the joint's operator rows come out equilibrated
     joint = _joint_matrix(setup, op, ell, noise)
-    n_gram = len(joint) - y.size
+    n_gram = len(joint) - n_data
     factor = chol_jitter(joint)
     z_draws, log_r = _draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)
-    rhs = np.empty((len(joint), m_particles))
-    rhs[:n_int] = np.cbrt(-delta * z_draws).T
-    rhs[n_int:2 * n_int] = z_draws.T / s
-    rhs[2 * n_int:n_gram] = setup.design.boundary_rhs[:, None]
-    rhs[n_gram:] = y[:, None]
-    # chol_jitter has checked the factor; a non-finite rhs shows in the weights
-    resid = dtrtrs(factor.lower, rhs, lower=1)[0][n_gram:]
+    # G^T solves L^T G^T = I[:, n_gram:]; both are Fortran-ordered, so LAPACK
+    # copies neither. A non-finite draw shows in the weights.
+    eye = np.eye(len(joint), n_data, -n_gram, order="F")
+    g = dtrtrs(factor.lower.T, eye, lower=0, overwrite_b=1)[0].T
+    resid = (g[:, :n_int] @ np.cbrt(-delta * z_draws).T
+             + (g[:, n_int:2 * n_int] / s) @ z_draws.T
+             + (g[:, 2 * n_int:n_gram] @ setup.design.boundary_rhs + g[:, n_gram:] @ y)[:, None])
     logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)[n_gram:]))
-    logliks = -0.5 * (y.size * _LOG_2PI + logdet + np.sum(resid**2, axis=0))
+    logliks = -0.5 * (n_data * _LOG_2PI + logdet + np.sum(resid**2, axis=0))
     return PMEstimate.from_log_weights(logliks - log_r)
 
 

@@ -117,11 +117,16 @@ def _sqexp_gram(r2, left, right, ell: float, d: int):
     coefficients on both sides of a square ``r2`` give an exactly symmetric
     matrix; a term whose coefficients all vanish is skipped.
     """
+    return _sqexp_form(np.exp(-0.5 * (1.0 / ell**2) * r2), r2, left, right, ell, d)
+
+
+def _sqexp_form(kv, r2, left, right, ell: float, d: int):
+    """``_sqexp_gram`` from the kernel values ``kv = k(r2)``, which it
+    returns itself when both sides are the identity."""
     (la, lc), (ra, rc) = left, right
     if isinstance(la, np.ndarray):
         la, lc = la[:, None], lc[:, None]
     e = 1.0 / ell**2
-    kv = np.exp(-0.5 * e * r2)
     cc = lc * rc
     out = kv if isinstance(cc, float) and cc == 1.0 else cc * kv
     mixed = la * rc + lc * ra

@@ -11,22 +11,30 @@ and ``sparse_ac_jacobian`` assemble the coarse Allen-Cahn operators as
 Newton solve are checked. ``plain_seed_sweep`` builds the coarse-solution
 table without the secant predictor of ``pmm.inverse.CoarseSolutionCache``.
 ``gls_phi`` is the closed-form maximizer of the 1D inverse problem's
-likelihood in ``phi = 1 / theta``.
+likelihood in ``phi = 1 / theta``. ``three_call_joint`` and
+``pm_loglik_all_rows`` are ``pmm.inverse``'s joint matrix and
+importance-sampled estimate built the longer way: three kernel evaluations
+for the joint, and one triangular solve over all of its rows with every
+particle's full right-hand side.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
+import pmm.kernels
 from pmm.forward import ObservationBlock
+from pmm.inverse import PMEstimate, _draw_latents, _operator_rows
 from pmm.kernels import (
+    IDENTITY,
     Matern72Kernel,
     OperatorTag,
     SqExpKernel,
     UnsupportedOperatorPair,
     op_gram,
 )
-from pmm.linalg import RngStream
+from pmm.linalg import RngStream, chol_jitter
 from pmm.problems import DELTA_RANGE, ac_deflated_solve
 
 
@@ -199,3 +207,43 @@ def gls_phi(y, mean, cov) -> float:
     w_y = solve_triangular(lower, np.asarray(y, dtype=float), lower=True)
     w_mu = solve_triangular(lower, np.asarray(mean, dtype=float), lower=True)
     return float(w_mu @ w_y / (w_mu @ w_mu))
+
+
+def three_call_joint(setup, op, ell: float, noise):
+    """``pmm.inverse._joint_matrix`` with one ``kernels._sqexp_gram`` call
+    each for all rows, the operator rows and the operator block."""
+    r2 = setup._r2
+    n_int = len(setup.design.interior_points)
+    rows = slice(n_int, 2 * n_int)
+    joint = pmm.kernels._sqexp_gram(r2, IDENTITY, IDENTITY, ell, 2)
+    op_rows = pmm.kernels._sqexp_gram(r2[rows], op, IDENTITY, ell, 2)
+    joint[rows] = op_rows
+    joint[:, rows] = op_rows.T
+    joint[rows, rows] = pmm.kernels._sqexp_gram(r2[rows, rows], op, op, ell, 2)
+    n_gram = len(r2) - len(setup.data_locations)
+    joint[n_gram:, n_gram:] += noise.cov
+    return joint
+
+
+def pm_loglik_all_rows(y, delta: float, ell: float, j: int, m_particles: int,
+                       noise, rng, *, setup, xi=None):
+    """``pmm.inverse.pm_loglik`` by one triangular solve of the joint factor
+    against the stacked right-hand sides [cbrt(-delta z); z / s; boundary;
+    y] of all M particles, of which the data rows are the residuals."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    zbar = setup.latent_centre(delta, j)
+    n_int = zbar.size
+    op, s = _operator_rows(delta, ell)
+    joint = three_call_joint(setup, op, ell, noise)
+    n_gram = len(joint) - y.size
+    factor = chol_jitter(joint)
+    z_draws, log_r = _draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)
+    rhs = np.empty((len(joint), m_particles))
+    rhs[:n_int] = np.cbrt(-delta * z_draws).T
+    rhs[n_int:2 * n_int] = z_draws.T / s
+    rhs[2 * n_int:n_gram] = setup.design.boundary_rhs[:, None]
+    rhs[n_gram:] = y[:, None]
+    resid = dtrtrs(factor.lower, rhs, lower=1)[0][n_gram:]
+    logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)[n_gram:]))
+    logliks = -0.5 * (y.size * np.log(2.0 * np.pi) + logdet + np.sum(resid**2, axis=0))
+    return PMEstimate.from_log_weights(logliks - log_r)

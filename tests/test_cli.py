@@ -221,6 +221,20 @@ class TestAllenCahn:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert "noise_sigma" in manifest["metadata"]
 
+    def test_burn_in_changes_no_csv(self, tmp_path):
+        # both chain files hold every step; burn_in is only recorded (FAST_AC
+        # sets it to 10, and a later --burn_in overrides an earlier one)
+        short, long = tmp_path / "burn10", tmp_path / "burn30"
+        assert main(["allen-cahn", "--output-dir", str(short), *FAST_AC]) == 0
+        assert main(["allen-cahn", "--output-dir", str(long), *FAST_AC, "--burn_in", "30"]) == 0
+        csvs = sorted(p for p in os.listdir(short) if p.endswith(".csv"))
+        assert csvs == sorted(p for p in os.listdir(long) if p.endswith(".csv"))
+        assert "chain.csv" in csvs and "chain_plugin.csv" in csvs
+        for name in csvs:
+            assert file_bytes(short / name) == file_bytes(long / name), name
+        burn_ins = [json.load(open(d / "manifest.json"))["config"]["burn_in"] for d in (short, long)]
+        assert burn_ins == [10, 30]
+
     def test_missing_data_branch_is_a_numerical_failure(self, tmp_path, capsys):
         # the data solve finds three branches; a fourth and beyond do not exist
         out = str(tmp_path)

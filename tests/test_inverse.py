@@ -37,7 +37,13 @@ from pmm.inverse import (
 from pmm.kernels import Matern72Kernel, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
 from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
-from reference import gls_phi, linearized_ac_blocks, plain_seed_sweep
+from reference import (
+    gls_phi,
+    linearized_ac_blocks,
+    plain_seed_sweep,
+    pm_loglik_all_rows,
+    three_call_joint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +474,79 @@ class TestOneGramPath:
         shapes.clear()
         pm_loglik(y, 0.04, 0.1, 1, 4, noise, RngStream(0), setup=setup)
         assert setup._r2.shape in shapes
+
+
+@pytest.fixture(scope="module")
+def designs(ac_context):
+    """The default 5x5 setup and the dense workload's 8x8 design (8 points
+    per edge) with the same data and coarse table, by interior points per axis."""
+    setup = ac_context[0]
+    dense = ACInverseSetup(design=ac_design(8, 8), data_locations=setup.data_locations,
+                           cache=setup.cache)
+    return {5: setup, 8: dense}
+
+
+class TestJointMatrixBits:
+    @pytest.mark.parametrize("delta,ell", [(0.025, 0.05), (0.0406, 0.1), (0.1, 0.15),
+                                           (0.04, 0.3), (0.15, 0.08)])
+    @pytest.mark.parametrize("per_axis", [5, 8])
+    def test_equals_three_call_build(self, ac_context, designs, per_axis, delta, ell):
+        # one set of kernel values, sliced for the operator rows, changes no bit
+        setup, noise = designs[per_axis], ac_context[2]
+        op = _operator_rows(delta, ell)[0]
+        np.testing.assert_array_equal(_joint_matrix(setup, op, ell, noise),
+                                      three_call_joint(setup, op, ell, noise))
+
+
+class TestDataRowSolve:
+    """``pm_loglik`` solves for the data rows of the inverse joint factor
+    only; the oracle solves every row for every particle."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.15])
+    @pytest.mark.parametrize("delta", [0.025, 0.0406, 0.1])
+    @pytest.mark.parametrize("per_axis", [5, 8])
+    def test_matches_all_rows_oracle(self, ac_context, designs, per_axis, delta, ell, j):
+        setup, (_, y, noise) = designs[per_axis], ac_context
+        joint = _joint_matrix(setup, _operator_rows(delta, ell)[0], ell, noise)
+        assert chol_jitter(joint).jitter_used == 0.0
+        xi = RngStream(21, j).generator().standard_normal((16, per_axis**2))
+        got = pm_loglik(y, delta, ell, j, 16, noise, RngStream(0), setup=setup, xi=xi)
+        want = pm_loglik_all_rows(y, delta, ell, j, 16, noise, RngStream(0), setup=setup, xi=xi)
+        np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-10, atol=0)
+        assert got.log_estimate == pytest.approx(want.log_estimate, rel=1e-10)
+
+    def test_chain_matches_oracle_chain(self, ac_context):
+        setup, y, noise = ac_context
+
+        def oracle(delta, ell, j, xi):
+            return pm_loglik_all_rows(y, delta, ell, j, 8, noise, RngStream(0), setup=setup,
+                                      xi=xi)
+
+        kwargs = dict(setup=setup, noise=noise, init=(0.04, 0.1, 1))
+        a = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 8, 300,
+                    RngStream(14, 4), **kwargs)
+        b = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 8, 300,
+                    RngStream(14, 4), estimator=oracle, **kwargs)
+        for name in ("delta", "ell", "j", "accepted"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        np.testing.assert_allclose(a.log_estimate, b.log_estimate, rtol=1e-10, atol=0)
+        assert 0.0 < a.acceptance_rate < 1.0
+
+    @pytest.mark.parametrize("m", [1, 8, 64])
+    def test_one_solve_with_n_data_columns(self, ac_context, monkeypatch, m):
+        setup, y, noise = ac_context
+        shapes, real = [], pmm.inverse.dtrtrs
+
+        def recording(a, b, *args, **kwargs):
+            shapes.append((a.shape, b.shape))
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(pmm.inverse, "dtrtrs", recording)
+        n = len(setup._r2)
+        for calls in (1, 2):
+            pm_loglik(y, 0.04, 0.1, 1, m, noise, RngStream(calls), setup=setup)
+            assert shapes == [((n, n), (n, len(y)))] * calls
 
 
 class TestPmLoglik:
