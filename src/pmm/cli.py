@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -94,57 +95,67 @@ def _float_list(text: str):
     return [float(tok) for tok in str(text).split(",") if tok.strip()]
 
 
+# least value of a float key that must be strictly positive
+POSITIVE = "positive"
+
+# On 2 or 3 points an evaluation grid holds only zeros of the exact 1D
+# solution sin(2 pi x)/(4 pi^2 theta), where a relative error reads noise.
+MIN_EVAL_POINTS = 16
+
+# experiment -> key -> (type, default, least): type parses the key's text,
+# default is a typed value, and least is the smallest allowed value (or list
+# entry), POSITIVE, or None. _validate holds the rules beyond one key's bound.
 SCHEMAS = {
     "forward-demo": {
-        "seed": (int, 0),
-        "m_values": (_int_list, "10,40"),
-        "kernel": (str, "sqexp"),
-        "lengthscale": (float, 0.2),
-        "design": (str, "nested"),
-        "eval_points": (int, 512),
-        "n_samples": (int, 20),
+        "seed": (int, 0, None),
+        "m_values": (_int_list, [10, 40], 1),
+        "kernel": (str, "sqexp", None),
+        "lengthscale": (float, 0.2, POSITIVE),
+        "design": (str, "nested", None),
+        "eval_points": (int, 512, MIN_EVAL_POINTS),
+        "n_samples": (int, 20, 1),
     },
     "converge": {
-        "seed": (int, 0),
-        "m_list": (_int_list, "5,10,20,40,80"),
-        "kernel": (str, "sqexp"),
-        "lengthscale": (float, 0.1),
-        "design": (str, "nested"),
-        "eval_points": (int, 512),
-        "theta": (float, 1.0),
+        "seed": (int, 0, None),
+        "m_list": (_int_list, [5, 10, 20, 40, 80], 1),
+        "kernel": (str, "sqexp", None),
+        "lengthscale": (float, 0.1, POSITIVE),
+        "design": (str, "nested", None),
+        "eval_points": (int, 512, MIN_EVAL_POINTS),
+        "theta": (float, 1.0, POSITIVE),
     },
     "inverse-1d": {
-        "seed": (int, 0),
-        "theta0": (float, 1.0),
-        "locations": (_float_list, "0.25,0.75"),
-        "sigma": (float, 0.01),
-        "m_list": (_int_list, "4,8,16"),
-        "kernel": (str, "sqexp"),
-        "lengthscale": (float, 0.2),
-        "design": (str, "uniform"),
-        "prior_lo": (float, 0.25),
-        "prior_hi": (float, 4.0),
-        "grid_n": (int, 240),
+        "seed": (int, 0, None),
+        "theta0": (float, 1.0, POSITIVE),
+        "locations": (_float_list, [0.25, 0.75], None),
+        "sigma": (float, 0.01, POSITIVE),
+        "m_list": (_int_list, [4, 8, 16], 1),
+        "kernel": (str, "sqexp", None),
+        "lengthscale": (float, 0.2, POSITIVE),
+        "design": (str, "uniform", None),
+        "prior_lo": (float, 0.25, None),
+        "prior_hi": (float, 4.0, None),
+        "grid_n": (int, 240, MIN_GRID_POINTS),
     },
     "allen-cahn": {
-        "seed": (int, 0),
-        "delta0": (float, 0.04),
-        "sigma": (float, 0.02),
-        "data_per_axis": (int, 4),
-        "data_grid_n": (int, 31),
-        "data_branch": (int, 1),
-        "grid_n": (int, 31),
-        "interior_per_axis": (int, 5),
-        "per_edge": (int, 5),
-        "m_particles": (int, 32),
-        "n_steps": (int, 5000),
-        "burn_in": (int, 1000),
-        "ell_init": (float, 0.1),
-        "delta_step": (float, 0.003),
-        "logell_step": (float, 0.08),
-        "ell_prior_scale": (float, 1.0),
-        "noise_correlation": (float, 0.99),
-        "cache_resolution": (float, 0.002),
+        "seed": (int, 0, None),
+        "delta0": (float, 0.04, None),
+        "sigma": (float, 0.02, POSITIVE),
+        "data_per_axis": (int, 4, 1),
+        "data_grid_n": (int, 31, MIN_GRID_N),
+        "data_branch": (int, 1, 1),
+        "grid_n": (int, 31, MIN_GRID_N),
+        "interior_per_axis": (int, 5, 1),
+        "per_edge": (int, 5, 1),
+        "m_particles": (int, 32, 1),
+        "n_steps": (int, 5000, 1),
+        "burn_in": (int, 1000, 0),
+        "ell_init": (float, 0.1, POSITIVE),
+        "delta_step": (float, 0.003, POSITIVE),
+        "logell_step": (float, 0.08, POSITIVE),
+        "ell_prior_scale": (float, 1.0, POSITIVE),
+        "noise_correlation": (float, 0.99, None),
+        "cache_resolution": (float, 0.002, POSITIVE),
     },
 }
 
@@ -186,7 +197,7 @@ METADATA_NOTES = {
 
 def _parse_config(experiment: str, config_file: str | None, overrides: dict) -> dict:
     schema = SCHEMAS[experiment]
-    cfg = {key: spec[1] for key, spec in schema.items()}
+    cfg = {key: copy.copy(default) for key, (_, default, _) in schema.items()}
     raw: dict = {}
     if config_file:
         if not os.path.exists(config_file):
@@ -204,48 +215,30 @@ def _parse_config(experiment: str, config_file: str | None, overrides: dict) -> 
     for key, val in raw.items():
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for {experiment}")
-        caster = schema[key][0]
         try:
-            cfg[key] = caster(val)
+            cfg[key] = schema[key][0](val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r} ({exc})") from exc
-    # defaults given as strings still need casting
-    for key, (caster, _) in schema.items():
-        if isinstance(cfg[key], str) and caster is not str:
-            cfg[key] = caster(cfg[key])
     _validate(experiment, cfg)
     return cfg
 
 
-# On 2 or 3 points an evaluation grid holds only zeros of the exact 1D
-# solution sin(2 pi x)/(4 pi^2 theta), where a relative error reads noise.
-MIN_EVAL_POINTS = 16
-
-
 def _validate(experiment: str, cfg: dict) -> None:
-    if "kernel" in cfg:
-        if cfg["kernel"] not in KERNELS:
-            raise ConfigError(f"kernel must be 'sqexp' or 'matern72', got {cfg['kernel']!r}")
-        try:
-            _make_kernel(cfg)  # each kernel checks its own parameters
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    for key, (_, _, least) in SCHEMAS[experiment].items():
+        if least is None:
+            continue
+        values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        if least is POSITIVE:
+            ok, bound = all(v > 0.0 for v in values), "positive"
+        else:
+            ok, bound = all(v >= least for v in values), f"at least {least}"
+        if not (values and ok):
+            what = "needs one or more entries, each" if values is cfg[key] else "must be"
+            raise ConfigError(f"{key} {what} {bound}, got {cfg[key]!r}")
+    if "kernel" in cfg and cfg["kernel"] not in KERNELS:
+        raise ConfigError(f"kernel must be 'sqexp' or 'matern72', got {cfg['kernel']!r}")
     if "design" in cfg and cfg["design"] not in ("uniform", "nested"):
         raise ConfigError(f"design must be 'uniform' or 'nested', got {cfg['design']!r}")
-    for key in ("lengthscale", "sigma", "delta_step", "logell_step", "cache_resolution",
-                "theta", "theta0", "ell_init", "ell_prior_scale"):
-        if key in cfg and not cfg[key] > 0.0:
-            raise ConfigError(f"{key} must be positive")
-    least = dict.fromkeys(("n_samples", "data_per_axis", "data_branch", "interior_per_axis",
-                           "per_edge", "m_particles"), 1)
-    least.update(eval_points=MIN_EVAL_POINTS, data_grid_n=MIN_GRID_N,
-                 grid_n=MIN_GRID_N if experiment == "allen-cahn" else MIN_GRID_POINTS)
-    for key, lo in least.items():
-        if key in cfg and cfg[key] < lo:
-            raise ConfigError(f"{key} must be at least {lo}")
-    for key in ("m_values", "m_list"):
-        if key in cfg and (not cfg[key] or min(cfg[key]) < 1):
-            raise ConfigError(f"{key} needs at least one design size, each at least 1")
     if "m_list" in cfg and any(b <= a for a, b in zip(cfg["m_list"], cfg["m_list"][1:])):
         raise ConfigError("m_list must be strictly increasing")
     if experiment == "inverse-1d":
@@ -281,14 +274,16 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(out_dir: str, name: str, header, rows) -> str:
     # integers and flags as %d, floats as %.17g, by the first row's column types
     lines, fmt = [",".join(header)], None
     for row in rows:
         fmt = fmt or ",".join("%d" if isinstance(v, (bool, np.bool_, int, np.integer))
                               else "%.17g" for v in row)
         lines.append(fmt % tuple(row))
+    path = os.path.join(out_dir, name)
     _write_atomic(path, "\n".join(lines) + "\n")
+    return path
 
 
 def _write_manifest(out_dir: str, experiment: str, cfg: dict, files, wall: float) -> str:
@@ -306,12 +301,11 @@ def _write_manifest(out_dir: str, experiment: str, cfg: dict, files, wall: float
 
 
 # ----------------------------------------------------------------------
-# experiments
+# experiments: each writes its CSVs into an existing directory and
+# returns their paths
 # ----------------------------------------------------------------------
 
 def run_forward_demo(cfg: dict, out_dir: str) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.monotonic()
     kernel = _make_kernel(cfg)
     problem = Poisson1D()
     grid = np.linspace(0.0, 1.0, cfg["eval_points"])
@@ -325,38 +319,26 @@ def run_forward_demo(cfg: dict, out_dir: str) -> list:
     for m in cfg["m_values"]:
         header += [f"mean_m{m}", f"var_m{m}"]
         cols += [per_m[m][0], per_m[m][1]]
-    mean_cov_path = os.path.join(out_dir, "mean_cov.csv")
-    _write_csv(mean_cov_path, header, zip(*cols))
+    mean_cov_path = _write_csv(out_dir, "mean_cov.csv", header, zip(*cols))
 
     m0 = cfg["m_values"][0]
     with _stage("posterior sampling"):
         draws = sample_paths(per_m[m0][2], grid, cfg["n_samples"], RngStream(cfg["seed"], 11))
     header = ["x"] + [f"sample_{i + 1:02d}" for i in range(cfg["n_samples"])]
-    samples_path = os.path.join(out_dir, "samples.csv")
-    _write_csv(samples_path, header, zip(grid, *draws))
-
-    files = [mean_cov_path, samples_path]
-    files.append(_write_manifest(out_dir, "forward-demo", cfg, files, time.monotonic() - t0))
-    return files
+    return [mean_cov_path, _write_csv(out_dir, "samples.csv", header, zip(grid, *draws))]
 
 
 def run_converge(cfg: dict, out_dir: str) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.monotonic()
     kernel = _make_kernel(cfg)
     problem = Poisson1D(cfg["theta"])
     grid = np.linspace(0.0, 1.0, cfg["eval_points"])
     with _stage("convergence experiment"):
         rows = convergence_experiment(problem, kernel, cfg["m_list"], grid, design=cfg["design"])
-    path = os.path.join(out_dir, "convergence.csv")
-    _write_csv(path, ["m", "h", "err_l2_rel", "cov_trace"], (r.astuple() for r in rows))
-    files = [path, _write_manifest(out_dir, "converge", cfg, [path], time.monotonic() - t0)]
-    return files
+    return [_write_csv(out_dir, "convergence.csv", ["m", "h", "err_l2_rel", "cov_trace"],
+                       (r.astuple() for r in rows))]
 
 
 def run_inverse_1d(cfg: dict, out_dir: str) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.monotonic()
     locations = np.asarray(cfg["locations"], dtype=float)
     with _stage("data generation"):
         y = generate_data(cfg["theta0"], locations, cfg["sigma"], RngStream(cfg["seed"], 21))
@@ -375,21 +357,12 @@ def run_inverse_1d(cfg: dict, out_dir: str) -> list:
     with _stage("grid posteriors"):
         results = [posteriors_for(m) for m in cfg["m_list"]]
 
-    files = []
-    for name, idx in (("posterior_pmm.csv", 0), ("posterior_plugin.csv", 1)):
-        header = ["theta"] + [f"density_m{m}" for m in cfg["m_list"]]
-        path = os.path.join(out_dir, name)
-        _write_csv(path, header, zip(grid, *(r[idx] for r in results)))
-        files.append(path)
-    files.append(_write_manifest(out_dir, "inverse-1d", cfg, files, time.monotonic() - t0))
-    return files
+    header = ["theta"] + [f"density_m{m}" for m in cfg["m_list"]]
+    return [_write_csv(out_dir, name, header, zip(grid, *(r[idx] for r in results)))
+            for idx, name in enumerate(("posterior_pmm.csv", "posterior_plugin.csv"))]
 
 
 def run_allen_cahn(cfg: dict, out_dir: str) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.monotonic()
-    files = []
-
     with _stage("data generation"):
         source = ac_deflated_solve(cfg["delta0"], cfg["data_grid_n"], RngStream(cfg["seed"], 31))
         if cfg["data_branch"] > len(source):
@@ -399,9 +372,8 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
         truth = source[cfg["data_branch"] - 1].interpolate(data_locations)
         noise_draw = cfg["sigma"] * RngStream(cfg["seed"], 32).generator().standard_normal(len(truth))
         y = truth + noise_draw
-    data_path = os.path.join(out_dir, "data.csv")
-    _write_csv(data_path, ["x1", "x2", "y"], zip(data_locations[:, 0], data_locations[:, 1], y))
-    files.append(data_path)
+    files = [_write_csv(out_dir, "data.csv", ["x1", "x2", "y"],
+                        zip(data_locations[:, 0], data_locations[:, 1], y))]
 
     with _stage("coarse solution table"):
         setup = ACInverseSetup(
@@ -410,11 +382,10 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
             cache=CoarseSolutionCache(cfg["grid_n"], cfg["cache_resolution"]),
         )
     for sol in setup.cache.solutions(cfg["delta0"]):
-        path = os.path.join(out_dir, f"solutions_{sol.solution_index}.csv")
         # row-major u[j, i] sits at (x1, x2) = (coords[i], coords[j])
-        _write_csv(path, ["x1", "x2", "u"],
-                   zip(np.tile(sol.coords, sol.n), np.repeat(sol.coords, sol.n), sol.u.ravel()))
-        files.append(path)
+        files.append(_write_csv(
+            out_dir, f"solutions_{sol.solution_index}.csv", ["x1", "x2", "u"],
+            zip(np.tile(sol.coords, sol.n), np.repeat(sol.coords, sol.n), sol.u.ravel())))
 
     noise = NoiseModel.isotropic(cfg["sigma"], len(y))
     delta_prior = UniformPrior(*DELTA_RANGE)
@@ -430,9 +401,7 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
             init=(init_delta, cfg["ell_init"], 1),
             noise_correlation=cfg["noise_correlation"],
         )
-    chain_path = os.path.join(out_dir, "chain.csv")
-    _write_csv(chain_path, chain.FIELDS, chain.rows())
-    files.append(chain_path)
+    files.append(_write_csv(out_dir, "chain.csv", chain.FIELDS, chain.rows()))
 
     with _stage("plug-in baseline chain"):
         plug = ac_plugin_mcmc(
@@ -440,11 +409,7 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
             setup=setup, noise=noise, step_scale=cfg["delta_step"],
             init=(init_delta, 1),
         )
-    plug_path = os.path.join(out_dir, "chain_plugin.csv")
-    _write_csv(plug_path, plug.FIELDS, plug.rows())
-    files.append(plug_path)
-
-    files.append(_write_manifest(out_dir, "allen-cahn", cfg, files, time.monotonic() - t0))
+    files.append(_write_csv(out_dir, "chain_plugin.csv", plug.FIELDS, plug.rows()))
     return files
 
 
@@ -517,11 +482,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    os.makedirs(args.output_dir, exist_ok=True)
+    t0 = time.monotonic()
     try:
         files = RUNNERS[args.experiment](cfg, args.output_dir)
     except StageFailure as exc:
         print(f"numerical failure in {exc}", file=sys.stderr)
         return 3
+    files.append(_write_manifest(args.output_dir, args.experiment, cfg, files,
+                                 time.monotonic() - t0))
     for path in files:
         print(path)
     return 0

@@ -278,8 +278,11 @@ class PMEstimate:
     """Unbiased (on the natural scale) log-likelihood estimate."""
 
     log_estimate: float
-    m: int
     log_weights: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.log_weights.size
 
     @classmethod
     def from_log_weights(cls, log_weights) -> "PMEstimate":
@@ -287,7 +290,7 @@ class PMEstimate:
         if not np.isfinite(lw).any():
             raise AllWeightsDegenerate("all importance weights underflowed")
         shift = lw.max()
-        return cls(float(shift + np.log(np.exp(lw - shift).sum() / lw.size)), lw.size, lw)
+        return cls(float(shift + np.log(np.exp(lw - shift).sum() / lw.size)), lw)
 
 
 def _draw_latents(zbar, lower, m: int, rng: RngStream, xi=None):
@@ -402,10 +405,13 @@ class ChainResult:
     j: np.ndarray
     log_estimate: np.ndarray
     accepted: np.ndarray
-    acceptance_rate: float
     estimator_calls: int = 0
 
     FIELDS = ("step", "delta", "ell", "j", "log_estimate", "accepted")
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted.mean()
 
     def rows(self):
         for t in range(len(self.delta)):
@@ -554,8 +560,7 @@ def pm_mcmc(y, delta_prior: UniformPrior, ell_prior, m_particles: int, n_steps: 
         (float(init[0]), float(np.log(init[1]))), int(init[2]), step_scales, n_steps,
         rng.generator(), (m_particles, len(setup.design.interior_points)), noise_correlation,
     )
-    return ChainResult(thetas[:, 0], np.exp(thetas[:, 1]), js, lls, accepted,
-                       accepted.mean(), calls)
+    return ChainResult(thetas[:, 0], np.exp(thetas[:, 1]), js, lls, accepted, calls)
 
 
 def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *,
@@ -582,5 +587,4 @@ def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *
         lambda theta: len(setup.cache.solutions(theta[0])),
         (float(init[0]),), int(init[1]), (step_scale,), n_steps, rng.generator(),
     )
-    return ChainResult(thetas[:, 0], np.full(n_steps, np.nan), js, lls, accepted,
-                       accepted.mean(), calls)
+    return ChainResult(thetas[:, 0], np.full(n_steps, np.nan), js, lls, accepted, calls)

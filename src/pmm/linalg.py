@@ -64,7 +64,10 @@ class CholFactor:
 
     lower: np.ndarray
     jitter_used: float
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.lower.shape[0]
 
 
 def chol_jitter(m) -> CholFactor:
@@ -123,7 +126,7 @@ def chol_jitter(m) -> CholFactor:
             # finite exactly when each of them is
             if not math.isfinite(lower.trace()):
                 raise FloatingPointError(f"Cholesky factor of a size-{n} matrix is not finite")
-            return CholFactor(lower=lower, jitter_used=jitter, n=n)
+            return CholFactor(lower=lower, jitter_used=jitter)
 
 
 def psd_solve(f: CholFactor, b) -> np.ndarray:

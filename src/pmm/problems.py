@@ -375,13 +375,14 @@ class ACDesign:
 
 
 def ac_boundary_values(points) -> np.ndarray:
-    """Dirichlet data: +1 on the x1 edges, -1 on the x2 edges."""
+    """Dirichlet data ``_AC_BOUNDARY`` at boundary points; a corner takes
+    its x1 edge's value."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    on_x1 = (np.abs(points[:, 0]) <= 1e-12) | (np.abs(points[:, 0] - 1.0) <= 1e-12)
-    on_x2 = (np.abs(points[:, 1]) <= 1e-12) | (np.abs(points[:, 1] - 1.0) <= 1e-12)
-    if not np.all(on_x1 | on_x2):
+    on_edge = [np.abs(points[:, 0]) <= 1e-12, np.abs(points[:, 0] - 1.0) <= 1e-12,
+               np.abs(points[:, 1]) <= 1e-12, np.abs(points[:, 1] - 1.0) <= 1e-12]
+    if not np.any(on_edge, axis=0).all():
         raise ValueError("some points are not on the boundary")
-    return np.where(on_x1, 1.0, -1.0)
+    return np.select(on_edge, _AC_BOUNDARY)
 
 
 def ac_design(interior_per_axis: int = 5, per_edge: int = 5) -> ACDesign:

@@ -7,13 +7,17 @@ import pytest
 import pmm.cli
 import pmm.inverse
 import pmm.linalg
-from pmm.cli import ConfigError, _parse_config, main, run_inverse_1d
+from pmm.cli import POSITIVE, SCHEMAS, ConfigError, _parse_config, _validate, main, run_inverse_1d
 from pmm.problems import SolveFailed
 
 FAST_AC = [
     "--n_steps", "40", "--burn_in", "10", "--m_particles", "4",
     "--data_per_axis", "2", "--interior_per_axis", "3", "--per_edge", "3",
 ]
+
+# (experiment, key, least) for every key that SCHEMAS bounds
+BOUNDED = [(experiment, key, spec[2]) for experiment, schema in SCHEMAS.items()
+           for key, spec in schema.items() if spec[2] is not None]
 
 
 def read_csv(path):
@@ -34,6 +38,28 @@ class TestConfig:
         cfg = _parse_config("converge", None, {})
         assert cfg["m_list"] == [5, 10, 20, 40, 80]
         assert cfg["kernel"] == "sqexp"
+        # each parse holds its own copy of a list default
+        cfg["m_list"].append(160)
+        assert _parse_config("converge", None, {})["m_list"] == [5, 10, 20, 40, 80]
+
+    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    def test_schema_defaults_pass_validation(self, experiment):
+        _validate(experiment, {key: spec[1] for key, spec in SCHEMAS[experiment].items()})
+
+    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    def test_every_key_at_its_least_value_accepted(self, experiment):
+        at_least = {key: "1e-300" if least is POSITIVE else str(least)
+                    for exp, key, least in BOUNDED if exp == experiment}
+        _parse_config(experiment, None, at_least)
+
+    @pytest.mark.parametrize("experiment,key,least", BOUNDED,
+                             ids=[f"{exp}-{key}" for exp, key, _ in BOUNDED])
+    def test_value_past_least_rejected(self, tmp_path, capsys, experiment, key, least):
+        out = tmp_path / "out"
+        past = 0.0 if least is POSITIVE else least - 1
+        assert main([experiment, "--output-dir", str(out), f"--{key}", str(past)]) == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -86,6 +112,8 @@ class TestConfig:
         ("inverse-1d", ["--locations", "0.25,1.5"]),
         ("allen-cahn", ["--ell_init", "0"]),
         ("allen-cahn", ["--ell_prior_scale", "0"]),
+        ("allen-cahn", ["--n_steps", "0", "--burn_in", "-1"]),
+        ("allen-cahn", ["--n_steps", "20", "--burn_in", "-5"]),
     ])
     def test_out_of_range_value_rejected_before_any_solve(self, tmp_path, experiment, args):
         out = tmp_path / "out"

@@ -666,7 +666,7 @@ class TestPmMcmc:
         def stub(delta, ell, j, xi):
             calls.append(delta)
             if len(calls) > nan_call:
-                return PMEstimate(float("nan"), 1, np.array([np.nan]))
+                return PMEstimate(float("nan"), np.array([np.nan]))
             return PMEstimate.from_log_weights(np.array([0.0]))
 
         with pytest.raises(FloatingPointError):
