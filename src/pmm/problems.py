@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .forward import (
     ObservationBlock,
@@ -45,6 +45,9 @@ __all__ = [
 DELTA_RANGE = (0.02, 0.15)
 MIN_GRID_N = 16  # fewest interior nodes per axis that ac_deflated_solve accepts
 _NEWTON_TOL = 1e-11  # sup-norm residual at which a Newton run has converged
+# a full Newton step that cuts the sup-norm residual by at least this factor
+# keeps its Jacobian's LU for the next step (chord/Shamanskii Newton)
+_CHORD_CONTRACTION = 0.1
 
 # boundary values on the unit square: +1 where x1 hits an edge, -1 where x2 does
 _AC_BOUNDARY = (1.0, 1.0, -1.0, -1.0)  # (x1=0, x1=1, x2=0, x2=1)
@@ -197,7 +200,7 @@ def _boundary_source(n: int, h: float, boundary=_AC_BOUNDARY) -> np.ndarray:
 
 def _stencil_residual(u, delta: float, n: int, h: float, bsrc: np.ndarray) -> np.ndarray:
     """Allen-Cahn residual of flat interior values ``u``, boundary source ``bsrc``."""
-    return -delta * (_lap(u, n, h) + bsrc) + (u**3 - u) / delta
+    return -delta * (_lap(u, n, h) + bsrc) + (u * u * u - u) / delta
 
 
 def ac_residual(u, delta: float, boundary=None) -> np.ndarray:
@@ -248,34 +251,50 @@ def _jacobian_band(delta: float, n: int) -> np.ndarray:
     return band
 
 
-def _jacobian_solve(band: np.ndarray, u: np.ndarray, delta: float, rhs: np.ndarray):
-    """Solve ``J x = rhs`` for the Jacobian ``-delta lap + diag((3u^2 - 1)/delta)``
-    at ``u`` by one banded LU; None when the Jacobian is singular."""
+def _jacobian_factor(band: np.ndarray, u: np.ndarray, delta: float):
+    """Banded LU of the Jacobian ``-delta lap + diag((3u^2 - 1)/delta)`` at
+    ``u``, as LAPACK ``dgbtrf``'s (factor, pivots); None when singular."""
     n = (band.shape[0] - 1) // 3
     ab = band.copy(order="F")
     ab[2 * n] += (3.0 * u**2 - 1.0) / delta
-    _, _, x, info = dgbsv(n, n, ab, rhs, overwrite_ab=True)
-    return x if info == 0 else None
+    lu, piv, info = dgbtrf(ab, n, n, overwrite_ab=True)
+    return (lu, piv) if info == 0 else None
 
 
-def _newton_ac(delta, n, u0, roots, maxiter=200):
+def _jacobian_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``J x = rhs`` with a factor from :func:`_jacobian_factor`."""
+    lu, piv = factor
+    n = (lu.shape[0] - 1) // 3
+    return dgbtrs(lu, n, n, rhs, piv)[0]
+
+
+def _newton_ac(delta, n, u0, roots, band, maxiter=200):
+    """Deflated Newton from ``u0`` with Jacobian band ``band``; returns the
+    last iterate, whether it converged, and its sup-norm residual.
+
+    A step that is taken in full and cuts the residual at least by
+    ``_CHORD_CONTRACTION`` keeps its LU for the next step; any other step
+    refactors at the next iterate, so only the endgame near a root reuses one.
+    """
     h = 1.0 / (n + 1)
     bsrc = _boundary_source(n, h)
-    band = _jacobian_band(delta, n)
     u = u0.copy()
+    res = _stencil_residual(u, delta, n, h, bsrc)
+    rnorm = float(np.max(np.abs(res)))
+    factor = None
     for _ in range(maxiter):
-        res = _stencil_residual(u, delta, n, h, bsrc)
-        rnorm = float(np.max(np.abs(res)))
         if rnorm < _NEWTON_TOL:
-            return u, True
-        step = _jacobian_solve(band, u, delta, -res)
-        if step is None:
-            return u, False
+            return u, True, rnorm
+        if factor is None:
+            factor = _jacobian_factor(band, u, delta)
+            if factor is None:
+                return u, False, rnorm
+        step = _jacobian_solve(factor, -res)
         if roots:
             m, grad = _deflation(u, roots)
             denom = 1.0 - float(grad @ step) / m
             if abs(denom) < 1e-12:
-                return u, False
+                return u, False, rnorm
             step = step / denom
         # backtrack on the sup-norm residual; full steps near convergence
         alpha = 1.0
@@ -286,10 +305,16 @@ def _newton_ac(delta, n, u0, roots, maxiter=200):
                 if float(np.max(np.abs(rnew))) < rnorm or rnorm < 1e-6:
                     break
             alpha *= 0.5
-        u = u + alpha * step
+        else:  # no trial was accepted: take the last halving unchecked
+            cand, rnew = u + alpha * step, None
+        u = cand
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 10.0:
-            return u, False
-    return u, False
+            return u, False, rnorm
+        res = _stencil_residual(u, delta, n, h, bsrc) if rnew is None else rnew
+        rprev, rnorm = rnorm, float(np.max(np.abs(res)))
+        if alpha < 1.0 or rnorm > _CHORD_CONTRACTION * rprev:
+            factor = None
+    return u, False, rnorm
 
 
 def _initial_guesses(n: int, delta: float) -> list:
@@ -330,7 +355,9 @@ def ac_deflated_solve(
         raise ValueError(f"delta must lie in [{lo}, {hi}]")
     if n < MIN_GRID_N:
         raise ValueError(f"grid size must be at least {MIN_GRID_N}")
+    band = _jacobian_band(delta, n)
     found: list[np.ndarray] = []
+    rnorms: list[float] = []
     gen = rng.generator()
     for attempt in range(3):
         cand = [np.asarray(s, dtype=float).reshape(-1) for s in seeds]
@@ -340,11 +367,12 @@ def ac_deflated_solve(
         for guess in cand:
             if len(found) >= 3:
                 break
-            u, ok = _newton_ac(delta, n, guess, found)
+            u, ok, rnorm = _newton_ac(delta, n, guess, found, band)
             if ok and np.max(np.abs(u)) <= 1.5 and all(
                 np.max(np.abs(u - s)) > 0.1 for s in found
             ):
                 found.append(u)
+                rnorms.append(rnorm)
         if len(found) >= 3:
             break
     if not found:
@@ -354,15 +382,12 @@ def ac_deflated_solve(
         mid = n // 2
         return (u.reshape(n, n)[mid, mid], float(np.linalg.norm(u)))
 
-    found.sort(key=center_key)
-    sols = []
-    for idx, u in enumerate(found, start=1):
-        rnorm = float(np.max(np.abs(ac_residual(u, delta))))
-        sols.append(GridSolution(
-            n=n, u=u.reshape(n, n), solution_index=idx,
-            residual_norm=rnorm, delta=delta,
-        ))
-    return sols
+    by_centre = sorted(zip(found, rnorms), key=lambda pair: center_key(pair[0]))
+    return [
+        GridSolution(n=n, u=u.reshape(n, n), solution_index=idx,
+                     residual_norm=rnorm, delta=delta)
+        for idx, (u, rnorm) in enumerate(by_centre, start=1)
+    ]
 
 
 @dataclass(frozen=True)

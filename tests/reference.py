@@ -8,8 +8,11 @@ observation blocks for the public forward solver, which is what
 ``pmm.inverse.pm_loglik`` fills in one joint matrix. ``sparse_laplacian``
 and ``sparse_ac_jacobian`` assemble the coarse Allen-Cahn operators as
 ``scipy.sparse`` matrices, against which the package's stencil and banded
-Newton solve are checked. ``plain_seed_sweep`` builds the coarse-solution
-table without the secant predictor of ``pmm.inverse.CoarseSolutionCache``.
+Newton solve are checked. ``fresh_lu_newton`` is the deflated Newton run
+with a fresh banded LU at every step, which ``fresh_lu`` puts in place of
+the package's chord iteration inside ``ac_deflated_solve``.
+``plain_seed_sweep`` builds the coarse-solution table without the secant
+predictor of ``pmm.inverse.CoarseSolutionCache``.
 ``gls_phi`` is the closed-form maximizer of the 1D inverse problem's
 likelihood in ``phi = 1 / theta``. ``three_call_joint`` and
 ``pm_loglik_all_rows`` are ``pmm.inverse``'s joint matrix and
@@ -18,12 +21,16 @@ for the joint, and one triangular solve over all of its rows with every
 particle's full right-hand side.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgbsv, dtrtrs
 
 import pmm.kernels
+import pmm.problems
 from pmm.forward import ObservationBlock
 from pmm.inverse import PMEstimate, _draw_latents, _operator_rows
 from pmm.kernels import (
@@ -35,7 +42,14 @@ from pmm.kernels import (
     op_gram,
 )
 from pmm.linalg import RngStream, chol_jitter
-from pmm.problems import DELTA_RANGE, ac_deflated_solve
+from pmm.problems import (
+    _NEWTON_TOL,
+    DELTA_RANGE,
+    _boundary_source,
+    _deflation,
+    _stencil_residual,
+    ac_deflated_solve,
+)
 
 
 def order(tag: OperatorTag) -> int:
@@ -179,6 +193,50 @@ def sparse_ac_jacobian(u, delta: float):
     u = np.asarray(u, dtype=float).reshape(-1)
     n = int(round(np.sqrt(u.size)))
     return (-delta * sparse_laplacian(n) + sp.diags((3.0 * u**2 - 1.0) / delta)).tocsc()
+
+
+def fresh_lu_newton(delta, n, u0, roots, band, maxiter=200):
+    """``pmm.problems._newton_ac`` with one banded LU (LAPACK ``dgbsv``) of
+    the Jacobian at every iterate and every residual evaluated afresh."""
+    h = 1.0 / (n + 1)
+    bsrc = _boundary_source(n, h)
+    u = u0.copy()
+    for _ in range(maxiter):
+        res = _stencil_residual(u, delta, n, h, bsrc)
+        rnorm = float(np.max(np.abs(res)))
+        if rnorm < _NEWTON_TOL:
+            return u, True, rnorm
+        ab = band.copy(order="F")
+        ab[2 * n] += (3.0 * u**2 - 1.0) / delta
+        _, _, step, info = dgbsv(n, n, ab, -res, overwrite_ab=True)
+        if info != 0:
+            return u, False, rnorm
+        if roots:
+            m, grad = _deflation(u, roots)
+            denom = 1.0 - float(grad @ step) / m
+            if abs(denom) < 1e-12:
+                return u, False, rnorm
+            step = step / denom
+        alpha = 1.0
+        for _ in range(12):
+            cand = u + alpha * step
+            if np.all(np.isfinite(cand)):
+                rnew = _stencil_residual(cand, delta, n, h, bsrc)
+                if float(np.max(np.abs(rnew))) < rnorm or rnorm < 1e-6:
+                    break
+            alpha *= 0.5
+        u = u + alpha * step
+        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 10.0:
+            return u, False, rnorm
+    return u, False, rnorm
+
+
+@contextmanager
+def fresh_lu():
+    """Within the block, every Newton run of ``ac_deflated_solve`` is
+    ``fresh_lu_newton``."""
+    with mock.patch.object(pmm.problems, "_newton_ac", fresh_lu_newton):
+        yield
 
 
 def plain_seed_sweep(grid_n: int, resolution: float) -> dict:

@@ -38,6 +38,7 @@ from pmm.kernels import Matern72Kernel, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
 from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
 from reference import (
+    fresh_lu,
     gls_phi,
     linearized_ac_blocks,
     plain_seed_sweep,
@@ -874,19 +875,35 @@ class TestCoarseCache:
                 gap = float(np.max(np.abs(a.u - b.u)))
                 assert gap < 1e-9, f"cell {cell}, j={j}: {gap:.2e}"
 
+    def test_table_matches_fresh_lu_sweep(self, ac_context):
+        # the chord iteration reuses an LU only while full steps contract
+        # tenfold, so every entry is the root a fresh LU per step reaches
+        cache = ac_context[0].cache
+        with fresh_lu():
+            oracle = CoarseSolutionCache(31, 0.002)
+        assert sorted(cache._store) == sorted(oracle._store)
+        for cell, want in oracle._store.items():
+            got = cache._store[cell]
+            assert len(got) == len(want) == 3
+            for j, (a, b) in enumerate(zip(got, want), start=1):
+                gap = float(np.max(np.abs(a.u - b.u)))
+                assert gap <= 1e-10, f"cell {cell}, j={j}: {gap:.2e}"
+
     def test_sweep_banded_solve_count(self, monkeypatch):
-        # 786 banded solves with plain seeds; the predictor saves a third
+        # a fresh LU at every Newton step makes 526 factorizations with the
+        # secant predictor (786 with plain seeds); keeping the LU while full
+        # steps contract makes 232. Each of the 198 branches needs at least one.
         calls = []
-        solve = pmm.problems._jacobian_solve
+        factor = pmm.problems._jacobian_factor
 
         def counted(*args):
             calls.append(1)
-            return solve(*args)
+            return factor(*args)
 
-        monkeypatch.setattr(pmm.problems, "_jacobian_solve", counted)
+        monkeypatch.setattr(pmm.problems, "_jacobian_factor", counted)
         cache = CoarseSolutionCache(31, 0.002)
         assert all(len(sols) == 3 for sols in cache._store.values())
-        assert len(calls) <= 540
+        assert 66 * 3 <= len(calls) <= 250
 
     @pytest.mark.parametrize("delta", [0.0199, 0.1501])
     def test_outside_range_raises(self, ac_context, delta):

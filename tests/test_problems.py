@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import spsolve
 
+import pmm.problems
 from pmm.forward import edge_points_2d, interior_grid_2d, solve_forward
 from pmm.inverse import ACInverseSetup, CoarseSolutionCache
 from pmm.kernels import SqExpKernel
@@ -12,6 +13,7 @@ from pmm.problems import (
     GridSolution,
     Poisson1D,
     _jacobian_band,
+    _jacobian_factor,
     _jacobian_solve,
     _lap,
     ac_boundary_values,
@@ -21,7 +23,13 @@ from pmm.problems import (
     generate_data,
     poisson_exact,
 )
-from reference import linearized_ac_blocks, sparse_ac_jacobian, sparse_laplacian
+from reference import (
+    fresh_lu,
+    fresh_lu_newton,
+    linearized_ac_blocks,
+    sparse_ac_jacobian,
+    sparse_laplacian,
+)
 
 
 def fd_poisson_solve(theta, n_cells=10_000):
@@ -108,7 +116,8 @@ class TestAllenCahnResidual:
 
 
 class TestBandedNewton:
-    """The stencil and the banded LU against the sparse assembly they replace."""
+    """The stencil and the banded LU against the sparse assembly they replace,
+    and the chord Newton against a fresh LU at every step."""
 
     @pytest.mark.parametrize("n", [16, 31])
     def test_stencil_matches_sparse_laplacian(self, n):
@@ -124,8 +133,45 @@ class TestBandedNewton:
         u = np.random.default_rng(100 + n).uniform(-1.0, 1.0, n * n)
         res = ac_residual(u, delta)
         ref = spsolve(sparse_ac_jacobian(u, delta), -res)
-        step = _jacobian_solve(_jacobian_band(delta, n), u, delta, -res)
+        step = _jacobian_solve(_jacobian_factor(_jacobian_band(delta, n), u, delta), -res)
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16, 31])
+    @pytest.mark.parametrize("delta", [0.02, 0.04, 0.1, 0.15])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_newton_run_matches_fresh_lu(self, monkeypatch, n, delta, seed):
+        # given the same start and the same deflated roots, a run that keeps
+        # its LU while full steps contract converges, or fails, as a run with
+        # a fresh LU at every step does, and to the same root (seed 0 is
+        # covered by the whole-solve check below)
+        chord = pmm.problems._newton_ac
+        gaps = []
+
+        def both(*args):
+            got, want = chord(*args), fresh_lu_newton(*args)
+            assert got[1] == want[1]
+            if got[1]:
+                gaps.append(float(np.max(np.abs(got[0] - want[0]))))
+            return got
+
+        monkeypatch.setattr(pmm.problems, "_newton_ac", both)
+        ac_deflated_solve(delta, n, RngStream(seed))
+        assert gaps and max(gaps) <= 1e-10
+
+    @pytest.mark.parametrize("n", [16, 31])
+    @pytest.mark.parametrize("delta", [0.02, 0.04, 0.1, 0.15])
+    def test_cold_solve_matches_fresh_lu(self, n, delta):
+        # the roots agree to ~1e-13, not bitwise; at seeds 1 and 2 that is
+        # enough to send a later deflated run at (16, 0.04) or (31, 0.02) to
+        # another branch, so the whole solve is compared at seed 0 and the
+        # check above compares those seeds run by run
+        got = ac_deflated_solve(delta, n, RngStream(0))
+        with fresh_lu():
+            want = ac_deflated_solve(delta, n, RngStream(0))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            gap = float(np.max(np.abs(a.u - b.u)))
+            assert gap <= 1e-10, f"j={a.solution_index}: {gap:.2e}"
 
     def test_nan_seed_is_discarded(self):
         sols = ac_deflated_solve(0.04, 31, RngStream(0), seeds=[np.full(961, np.nan)])
