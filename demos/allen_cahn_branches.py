@@ -1,10 +1,11 @@
 """The nonlinear showcase: a phase-field problem with three solutions.
 
 The steady phase equation -delta lap(u) + (u^3 - u)/delta = 0 with +1 and
--1 edge data has three solutions. Deflated Newton finds them all;
-introducing a latent field splits the cubic into a pair of equations that
-are linear in u, which is what lets the Gaussian solver and the
-pseudo-marginal chain attack the inverse problem for delta.
+-1 edge data has three solutions. Deflated Newton, continued downward in
+delta from the thick-interface end, finds them all; introducing a latent
+field splits the cubic into a pair of equations that are linear in u,
+which is what lets the Gaussian solver and the pseudo-marginal chain
+attack the inverse problem for delta.
 
 Run:  python3 demos/allen_cahn_branches.py    (takes a minute or two)
 """
@@ -28,18 +29,21 @@ from pmm import (
 )
 
 delta0 = 0.04
-print(f"solving the phase problem at delta = {delta0} ...")
-solutions = ac_deflated_solve(delta0, 31, RngStream(0))
+print("solving the phase problem over delta in [0.02, 0.15] by continuation ...")
+cache = CoarseSolutionCache(31)
+solutions = cache.solutions(delta0)
 for s in solutions:
-    print(f"  branch {s.solution_index}: u(center) = {s.center_value():+.3f}, "
+    print(f"  delta = {delta0}, branch {s.solution_index}: u(center) = {s.center_value():+.3f}, "
           f"residual {s.residual_norm:.1e}")
+thin = 0.021
+print(f"  delta = {thin}: branches found cold {len(ac_deflated_solve(thin, 31))}, "
+      f"by continuation {len(cache.solve_at(thin))}")
 
 # synthetic observations from branch 1, then two chains for delta
 sigma = 0.02
 data_locations = interior_grid_2d(4)
 y = solutions[0].interpolate(data_locations) \
     + sigma * RngStream(0, 32).generator().standard_normal(len(data_locations))
-cache = CoarseSolutionCache(31)
 setup = ACInverseSetup(design=ac_design(5, 5), data_locations=data_locations, cache=cache)
 noise = NoiseModel.isotropic(sigma, len(y))
 prior = UniformPrior(*DELTA_RANGE)

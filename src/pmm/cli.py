@@ -46,7 +46,6 @@ from .problems import (
     MIN_GRID_N,
     Poisson1D,
     SolveFailed,
-    ac_deflated_solve,
     ac_design,
     generate_data,
 )
@@ -181,7 +180,8 @@ METADATA_NOTES = {
         "noise_sigma": "artifact choice, not pinned by the problem statement",
         "chain": "correlated pseudo-marginal (noise_correlation), pilot-initialized",
         "data_locations": "regular interior lattice, artifact choice",
-        "data_source": "coarse-solver branch at delta0 (data_grid_n, data_branch)",
+        "data_source": "branch data_branch at delta0 from one continuation step below "
+                       "the data_grid_n solution table, independent of seed",
         "delta0": "artifact choice 0.04 by default",
         "latent_prior": "improper flat prior; constant cancels in acceptance ratios",
         "identity_observation_points": "interior design points",
@@ -363,8 +363,12 @@ def run_inverse_1d(cfg: dict, out_dir: str) -> list:
 
 
 def run_allen_cahn(cfg: dict, out_dir: str) -> list:
+    with _stage("coarse solution table"):
+        caches = {n: CoarseSolutionCache(n, cfg["cache_resolution"])
+                  for n in {cfg["grid_n"], cfg["data_grid_n"]}}
+
     with _stage("data generation"):
-        source = ac_deflated_solve(cfg["delta0"], cfg["data_grid_n"], RngStream(cfg["seed"], 31))
+        source = caches[cfg["data_grid_n"]].solve_at(cfg["delta0"])
         if cfg["data_branch"] > len(source):
             raise SolutionIndexOutOfRange(
                 f"data_branch={cfg['data_branch']}, only {len(source)} solutions found")
@@ -375,12 +379,11 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
     files = [_write_csv(out_dir, "data.csv", ["x1", "x2", "y"],
                         zip(data_locations[:, 0], data_locations[:, 1], y))]
 
-    with _stage("coarse solution table"):
-        setup = ACInverseSetup(
-            design=ac_design(cfg["interior_per_axis"], cfg["per_edge"]),
-            data_locations=data_locations,
-            cache=CoarseSolutionCache(cfg["grid_n"], cfg["cache_resolution"]),
-        )
+    setup = ACInverseSetup(
+        design=ac_design(cfg["interior_per_axis"], cfg["per_edge"]),
+        data_locations=data_locations,
+        cache=caches[cfg["grid_n"]],
+    )
     for sol in setup.cache.solutions(cfg["delta0"]):
         # row-major u[j, i] sits at (x1, x2) = (coords[i], coords[j])
         files.append(_write_csv(

@@ -192,7 +192,8 @@ class CoarseSolutionCache:
     to Numerical Continuation Methods*, 2003), which start Newton closer
     to the root. Lookups snap delta to the nearest cell, so the table, and
     every likelihood read from it, does not depend on a seed or on the
-    order in which cells are looked up.
+    order in which cells are looked up; :meth:`solve_at` takes the same
+    step to an off-grid delta.
     """
 
     def __init__(self, grid_n: int = 31, resolution: float = 0.002):
@@ -202,16 +203,28 @@ class CoarseSolutionCache:
         lo, hi = DELTA_RANGE
         sols, older = [], []
         for cell in range(round(hi / resolution), round(lo / resolution) - 1, -1):
-            seeds = [s.u.ravel() for s in sols]
-            if len(sols) == len(older) == 3:
-                # secant predictor from the two cells above, ahead of the
-                # plain seeds, which stay as fallbacks
-                seeds = [2.0 * u - v.u.ravel() for u, v in zip(seeds, older)] + seeds
-            older, sols = sols, ac_deflated_solve(
-                float(np.clip(cell * resolution, lo, hi)), grid_n, RngStream(0, cell),
-                seeds=seeds,
-            )
+            older, sols = sols, self._step(self._delta(cell), sols, older)
             self._store[cell] = sols
+
+    def _delta(self, cell: int) -> float:
+        lo, hi = DELTA_RANGE
+        return float(np.clip(cell * self.resolution, lo, hi))
+
+    def _step(self, delta: float, sols: list, older: list) -> list:
+        """The deflated solve at ``delta`` seeded from the branches ``sols``
+        of the cell just above it and ``older`` of the cell above that: the
+        secant predictions first when both hold three, then the branches."""
+        seeds = [s.u.ravel() for s in sols]
+        if len(sols) == len(older) == 3:
+            seeds = [2.0 * u - v.u.ravel() for u, v in zip(seeds, older)] + seeds
+        return ac_deflated_solve(delta, self.grid_n, seeds=seeds)
+
+    def solve_at(self, delta: float) -> list:
+        """The branches at ``delta`` itself, by the table's continuation step
+        from the two lowest cells whose delta lies strictly above it; at a
+        cell's own delta this recomputes that cell's entry bit for bit."""
+        above = [[], []] + [sols for cell, sols in self._store.items() if self._delta(cell) > delta]
+        return self._step(delta, above[-1], above[-2])
 
     def _cell(self, delta: float) -> int:
         lo, hi = DELTA_RANGE

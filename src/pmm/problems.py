@@ -131,7 +131,6 @@ class GridSolution:
     u: np.ndarray
     solution_index: int
     residual_norm: float
-    delta: float
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).reshape(self.n, self.n)
@@ -188,8 +187,8 @@ def _lap(u: np.ndarray, n: int, h: float) -> np.ndarray:
     return out.ravel() / h**2
 
 
-def _boundary_source(n: int, h: float, boundary=_AC_BOUNDARY) -> np.ndarray:
-    left, right, bottom, top = boundary
+def _boundary_source(n: int, h: float) -> np.ndarray:
+    left, right, bottom, top = _AC_BOUNDARY
     b = np.zeros((n, n))
     b[:, 0] += left
     b[:, -1] += right
@@ -201,23 +200,6 @@ def _boundary_source(n: int, h: float, boundary=_AC_BOUNDARY) -> np.ndarray:
 def _stencil_residual(u, delta: float, n: int, h: float, bsrc: np.ndarray) -> np.ndarray:
     """Allen-Cahn residual of flat interior values ``u``, boundary source ``bsrc``."""
     return -delta * (_lap(u, n, h) + bsrc) + (u * u * u - u) / delta
-
-
-def ac_residual(u, delta: float, boundary=None) -> np.ndarray:
-    """Five-point-stencil residual of the Allen-Cahn interior equation.
-
-    ``u`` holds interior node values, flat or (N, N); the Dirichlet data
-    enters the stencil at near-boundary nodes. ``boundary`` overrides the
-    default edge values as a tuple (x1=0, x1=1, x2=0, x2=1).
-    """
-    u = np.asarray(u, dtype=float)
-    flat = u.reshape(-1)
-    n = int(round(np.sqrt(flat.size)))
-    if n * n != flat.size:
-        raise ValueError("u must hold an N-by-N interior lattice")
-    h = 1.0 / (n + 1)
-    bsrc = _boundary_source(n, h, boundary or _AC_BOUNDARY)
-    return _stencil_residual(flat, delta, n, h, bsrc).reshape(u.shape)
 
 
 def _deflation(u, roots):
@@ -275,6 +257,9 @@ def _newton_ac(delta, n, u0, roots, band, maxiter=200):
     A step that is taken in full and cuts the residual at least by
     ``_CHORD_CONTRACTION`` keeps its LU for the next step; any other step
     refactors at the next iterate, so only the endgame near a root reuses one.
+    A run whose step cuts the residual at none of 12 halvings has stalled
+    and fails there, rather than wander on unchecked steps whose end
+    depends on rounding.
     """
     h = 1.0 / (n + 1)
     bsrc = _boundary_source(n, h)
@@ -305,12 +290,11 @@ def _newton_ac(delta, n, u0, roots, band, maxiter=200):
                 if float(np.max(np.abs(rnew))) < rnorm or rnorm < 1e-6:
                     break
             alpha *= 0.5
-        else:  # no trial was accepted: take the last halving unchecked
-            cand, rnew = u + alpha * step, None
-        u = cand
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 10.0:
+        else:  # no trial cut the residual: the run has stalled
             return u, False, rnorm
-        res = _stencil_residual(u, delta, n, h, bsrc) if rnew is None else rnew
+        u, res = cand, rnew
+        if np.max(np.abs(u)) > 10.0:
+            return u, False, rnorm
         rprev, rnorm = rnorm, float(np.max(np.abs(res)))
         if alpha < 1.0 or rnorm > _CHORD_CONTRACTION * rprev:
             factor = None
@@ -330,25 +314,23 @@ def _initial_guesses(n: int, delta: float) -> list:
     return [saddle, plus, minus, np.zeros(n * n)]
 
 
-def ac_deflated_solve(
-    delta: float,
-    n: int,
-    rng: RngStream,
-    seeds=(),
-) -> list:
+def ac_deflated_solve(delta: float, n: int, seeds=()) -> list:
     """All distinct solutions of the discrete Allen-Cahn system.
 
-    Newton runs, each step backtracking from a full step, start from a
-    saddle-shaped guess, two one-phase profiles and zero; each later run
+    One Newton run, each step backtracking from a full step, starts from
+    each of the ``seeds`` in turn (continuation guesses from solutions at
+    a nearby ``delta``), then from a saddle-shaped guess, two one-phase
+    profiles and zero, until three solutions are found. Each later run
     minimizes the residual deflated by the solutions already found, which
-    blocks reconvergence to a known root.
-    ``seeds`` supplies extra initial guesses (used for continuation from
-    solutions at a nearby ``delta``). Solutions are deduplicated at
+    blocks reconvergence to a known root. Solutions are deduplicated at
     sup-norm distance 0.1, sorted by their value at the domain centre
-    (ties by L2 norm), and indexed 1..n_found.
+    (ties by L2 norm), and indexed 1..n_found. The solve draws no random
+    numbers, so it is a fixed function of its arguments.
 
-    Returns fewer than three solutions if some branch does not converge;
-    raises :class:`SolveFailed` only when nothing converges at all.
+    Returns fewer than three solutions if some branch does not converge,
+    as a cold start (no seeds) may at thin interfaces, where
+    :class:`pmm.inverse.CoarseSolutionCache` reaches every branch by
+    continuation; raises :class:`SolveFailed` only when nothing converges.
     """
     lo, hi = DELTA_RANGE
     if not lo <= delta <= hi:
@@ -358,23 +340,16 @@ def ac_deflated_solve(
     band = _jacobian_band(delta, n)
     found: list[np.ndarray] = []
     rnorms: list[float] = []
-    gen = rng.generator()
-    for attempt in range(3):
-        cand = [np.asarray(s, dtype=float).reshape(-1) for s in seeds]
-        cand += _initial_guesses(n, delta)
-        if attempt > 0:
-            cand = [g + 0.05 * attempt * gen.standard_normal(n * n) for g in cand]
-        for guess in cand:
-            if len(found) >= 3:
-                break
-            u, ok, rnorm = _newton_ac(delta, n, guess, found, band)
-            if ok and np.max(np.abs(u)) <= 1.5 and all(
-                np.max(np.abs(u - s)) > 0.1 for s in found
-            ):
-                found.append(u)
-                rnorms.append(rnorm)
+    guesses = [np.asarray(s, dtype=float).reshape(-1) for s in seeds]
+    for guess in guesses + _initial_guesses(n, delta):
         if len(found) >= 3:
             break
+        u, ok, rnorm = _newton_ac(delta, n, guess, found, band)
+        if ok and np.max(np.abs(u)) <= 1.5 and all(
+            np.max(np.abs(u - s)) > 0.1 for s in found
+        ):
+            found.append(u)
+            rnorms.append(rnorm)
     if not found:
         raise SolveFailed(f"no Allen-Cahn solution converged at delta={delta}")
 
@@ -384,8 +359,7 @@ def ac_deflated_solve(
 
     by_centre = sorted(zip(found, rnorms), key=lambda pair: center_key(pair[0]))
     return [
-        GridSolution(n=n, u=u.reshape(n, n), solution_index=idx,
-                     residual_norm=rnorm, delta=delta)
+        GridSolution(n=n, u=u.reshape(n, n), solution_index=idx, residual_norm=rnorm)
         for idx, (u, rnorm) in enumerate(by_centre, start=1)
     ]
 

@@ -8,7 +8,8 @@ observation blocks for the public forward solver, which is what
 ``pmm.inverse.pm_loglik`` fills in one joint matrix. ``sparse_laplacian``
 and ``sparse_ac_jacobian`` assemble the coarse Allen-Cahn operators as
 ``scipy.sparse`` matrices, against which the package's stencil and banded
-Newton solve are checked. ``fresh_lu_newton`` is the deflated Newton run
+Newton solve are checked, and ``ac_residual`` is the Allen-Cahn residual
+built on ``sparse_laplacian``. ``fresh_lu_newton`` is the deflated Newton run
 with a fresh banded LU at every step, which ``fresh_lu`` puts in place of
 the package's chord iteration inside ``ac_deflated_solve``.
 ``plain_seed_sweep`` builds the coarse-solution table without the secant
@@ -41,7 +42,7 @@ from pmm.kernels import (
     UnsupportedOperatorPair,
     op_gram,
 )
-from pmm.linalg import RngStream, chol_jitter
+from pmm.linalg import chol_jitter
 from pmm.problems import (
     _NEWTON_TOL,
     DELTA_RANGE,
@@ -188,6 +189,28 @@ def sparse_laplacian(n: int):
     return sp.diags([main, ex, ex, ey, ey], [0, 1, -1, n, -n], format="csr") / h**2
 
 
+def ac_residual(u, delta: float, boundary=(1.0, 1.0, -1.0, -1.0)) -> np.ndarray:
+    """Five-point-stencil residual of the Allen-Cahn interior equation.
+
+    ``u`` holds interior node values, flat or (N, N); the Dirichlet data
+    ``boundary``, given as the edge values (x1=0, x1=1, x2=0, x2=1), enters
+    the stencil at near-boundary nodes.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    n = int(round(np.sqrt(flat.size)))
+    if n * n != flat.size:
+        raise ValueError("u must hold an N-by-N interior lattice")
+    left, right, bottom, top = boundary
+    edges = np.zeros((n, n))
+    edges[:, 0] += left
+    edges[:, -1] += right
+    edges[0, :] += bottom
+    edges[-1, :] += top
+    lap = sparse_laplacian(n) @ flat + edges.ravel() * (n + 1) ** 2
+    return (-delta * lap + (flat**3 - flat) / delta).reshape(u.shape)
+
+
 def sparse_ac_jacobian(u, delta: float):
     """Jacobian ``-delta lap + diag((3u^2 - 1)/delta)`` of the Allen-Cahn residual, CSC."""
     u = np.asarray(u, dtype=float).reshape(-1)
@@ -225,8 +248,10 @@ def fresh_lu_newton(delta, n, u0, roots, band, maxiter=200):
                 if float(np.max(np.abs(rnew))) < rnorm or rnorm < 1e-6:
                     break
             alpha *= 0.5
+        else:
+            return u, False, rnorm
         u = u + alpha * step
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 10.0:
+        if np.max(np.abs(u)) > 10.0:
             return u, False, rnorm
     return u, False, rnorm
 
@@ -246,10 +271,8 @@ def plain_seed_sweep(grid_n: int, resolution: float) -> dict:
     lo, hi = DELTA_RANGE
     table, sols = {}, []
     for cell in range(round(hi / resolution), round(lo / resolution) - 1, -1):
-        sols = ac_deflated_solve(
-            float(np.clip(cell * resolution, lo, hi)), grid_n, RngStream(0, cell),
-            seeds=[s.u.ravel() for s in sols],
-        )
+        sols = ac_deflated_solve(float(np.clip(cell * resolution, lo, hi)), grid_n,
+                                 seeds=[s.u.ravel() for s in sols])
         table[cell] = sols
     return table
 

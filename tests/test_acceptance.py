@@ -225,7 +225,7 @@ def test_criterion_4_inverse_widening():
 def test_criterion_5_allen_cahn_multimodality():
     """Exactly 3 solutions at delta = 0.04, N = 31, well separated; < 30 s."""
     with Timer() as t:
-        sols = ac_deflated_solve(0.04, 31, RngStream(0))
+        sols = ac_deflated_solve(0.04, 31)
         n_found = len(sols)
         min_dist = min(
             float(np.max(np.abs(a.u - b.u)))
@@ -280,11 +280,11 @@ def test_criterion_7_allen_cahn_inverse_coverage():
     data_locations = interior_grid_2d(4)
 
     with Timer() as t:
-        reference = ac_deflated_solve(delta0, 31, RngStream(0, 1))
-        truth = reference[0].interpolate(data_locations)
-        # the coarse table depends on neither the seed nor the data
+        # the coarse table depends on neither the seed nor the data, and the
+        # truth is its continuation step to delta0, as in the allen-cahn CLI
         setup = ACInverseSetup(design=ac_design(5, 5), data_locations=data_locations,
                                cache=CoarseSolutionCache(31, 0.002))
+        truth = setup.cache.solve_at(delta0)[0].interpolate(data_locations)
         results = []
         for seed in range(5):
             y = truth + sigma * RngStream(seed, 32).generator().standard_normal(len(truth))

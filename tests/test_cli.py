@@ -8,6 +8,8 @@ import pmm.cli
 import pmm.inverse
 import pmm.linalg
 from pmm.cli import POSITIVE, SCHEMAS, ConfigError, _parse_config, _validate, main, run_inverse_1d
+from pmm.forward import interior_grid_2d
+from pmm.inverse import CoarseSolutionCache
 from pmm.problems import SolveFailed
 
 FAST_AC = [
@@ -262,6 +264,25 @@ class TestAllenCahn:
             assert file_bytes(short / name) == file_bytes(long / name), name
         burn_ins = [json.load(open(d / "manifest.json"))["config"]["burn_in"] for d in (short, long)]
         assert burn_ins == [10, 30]
+
+    def test_data_truth_is_seed_free(self, tmp_path):
+        # at delta0 = 0.021 a cold deflated solve misses the -1 branch; for
+        # every seed, the data minus the seed's noise draw (stream 32) is
+        # branch 1 of the table's continuation step to delta0
+        sigma = SCHEMAS["allen-cahn"]["sigma"][1]
+        truth = CoarseSolutionCache(31, 0.002).solve_at(0.021)[0].interpolate(interior_grid_2d(2))
+        for seed in range(5):
+            out = tmp_path / str(seed)
+            assert main(["allen-cahn", "--output-dir", str(out), "--seed", str(seed),
+                         "--delta0", "0.021", *FAST_AC]) == 0
+            y = np.array([float(r[2]) for r in read_csv(out / "data.csv")[1]])
+            noise = sigma * pmm.linalg.RngStream(seed, 32).generator().standard_normal(len(y))
+            np.testing.assert_allclose(y - noise, truth, rtol=0.0, atol=1e-15)
+
+    def test_coarse_data_grid(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["allen-cahn", "--output-dir", str(out), "--data_grid_n", "16", *FAST_AC]) == 0
+        assert len(read_csv(out / "data.csv")[1]) == 4
 
     def test_missing_data_branch_is_a_numerical_failure(self, tmp_path, capsys):
         # the data solve finds three branches; a fourth and beyond do not exist

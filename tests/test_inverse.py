@@ -38,6 +38,7 @@ from pmm.kernels import Matern72Kernel, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
 from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
 from reference import (
+    ac_residual,
     fresh_lu,
     gls_phi,
     linearized_ac_blocks,
@@ -828,11 +829,10 @@ class TestCoarseCache:
         b = setup.cache.solutions(0.0399)
         assert a is b  # same 0.002 cell
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_cell_at_delta0_matches_cold_solve(self, ac_context, seed):
+    def test_cell_at_delta0_matches_cold_solve(self, ac_context):
         # allen-cahn writes solutions_*.csv from the cell of delta0 = 0.04;
         # a cold deflated solve there finds the same branches in the same order
-        cold = ac_deflated_solve(0.04, 31, RngStream(seed, 30))
+        cold = ac_deflated_solve(0.04, 31)
         cell = ac_context[0].cache.solutions(0.04)
         assert len(cold) == len(cell) == 3
         for a, b in zip(cold, cell):
@@ -843,10 +843,31 @@ class TestCoarseCache:
         # a cold deflated solve at the bottom of the range misses branches;
         # the sweep reaches all three by continuation from above
         cache = ac_context[0].cache
-        assert len(ac_deflated_solve(0.02, 31, RngStream(0, 10))) < 3
+        assert len(ac_deflated_solve(0.02, 31)) < 3
         sols = cache.solutions(0.021)
         assert len(sols) == 3
         assert all(s.residual_norm < 1e-9 for s in sols)
+
+    @pytest.mark.parametrize("delta", [0.0201, 0.021, 0.03, 0.04])
+    def test_solve_at_reaches_every_branch(self, ac_context, delta):
+        # the data's continuation step to delta0 finds three converged
+        # branches even where a cold solve misses some (0.0201, 0.021); on a
+        # cell's own delta it is that cell's table entry, bit for bit
+        cache = ac_context[0].cache
+        sols = cache.solve_at(delta)
+        assert len(sols) == 3
+        assert all(np.max(np.abs(ac_residual(s.u, delta))) < 1e-9 for s in sols)
+        if delta == 0.04:
+            for a, b in zip(sols, cache.solutions(delta)):
+                np.testing.assert_array_equal(a.u, b.u)
+
+    def test_every_cell_holds_three_branches_at_n16(self):
+        # the -1, saddle and +1 branches, as at N = 31
+        cache = CoarseSolutionCache(16, 0.002)
+        assert len(cache._store) == 66
+        for cell, sols in cache._store.items():
+            centres = [s.center_value() for s in sols]
+            assert len(centres) == 3 and centres[0] < -0.5 < 0.5 < centres[2], (cell, centres)
 
     def test_branches_continue_across_cells(self, ac_context):
         # every cell holds three converged branches, and branch j of one
