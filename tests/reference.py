@@ -13,7 +13,8 @@ built on ``sparse_laplacian``. ``fresh_lu_newton`` is the deflated Newton run
 with a fresh banded LU at every step, which ``fresh_lu`` puts in place of
 the package's chord iteration inside ``ac_deflated_solve``.
 ``plain_seed_sweep`` builds the coarse-solution table without the secant
-predictor of ``pmm.inverse.CoarseSolutionCache``.
+predictor of ``pmm.inverse.CoarseSolutionCache``, and ``neighbour_seeds``
+are the continuation seeds such a sweep hands a solve from a nearby cell.
 ``gls_phi`` is the closed-form maximizer of the 1D inverse problem's
 likelihood in ``phi = 1 / theta``. ``three_call_joint`` and
 ``pm_loglik_all_rows`` are ``pmm.inverse``'s joint matrix and
@@ -275,6 +276,18 @@ def plain_seed_sweep(grid_n: int, resolution: float) -> dict:
                                  seeds=[s.u.ravel() for s in sols])
         table[cell] = sols
     return table
+
+
+def neighbour_seeds(delta: float, n: int, cells_away: int, resolution: float = 0.002) -> list:
+    """Flat branches of a cold deflated solve ``cells_away`` cells of
+    ``resolution`` above ``delta``, or below where that leaves the range;
+    no seeds for ``cells_away == 0``."""
+    if cells_away == 0:
+        return []
+    near = delta + cells_away * resolution
+    if near > DELTA_RANGE[1]:
+        near = delta - cells_away * resolution
+    return [s.u.ravel() for s in ac_deflated_solve(near, n)]
 
 
 def gls_phi(y, mean, cov) -> float:

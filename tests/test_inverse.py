@@ -42,6 +42,7 @@ from reference import (
     fresh_lu,
     gls_phi,
     linearized_ac_blocks,
+    neighbour_seeds,
     plain_seed_sweep,
     pm_loglik_all_rows,
     three_call_joint,
@@ -829,10 +830,12 @@ class TestCoarseCache:
         b = setup.cache.solutions(0.0399)
         assert a is b  # same 0.002 cell
 
-    def test_cell_at_delta0_matches_cold_solve(self, ac_context):
+    @pytest.mark.parametrize("cells_away", [0, 1, 2])
+    def test_cell_at_delta0_matches_cold_solve(self, ac_context, cells_away):
         # allen-cahn writes solutions_*.csv from the cell of delta0 = 0.04;
-        # a cold deflated solve there finds the same branches in the same order
-        cold = ac_deflated_solve(0.04, 31)
+        # a deflated solve there, cold or seeded from a cold solve one or two
+        # cells above, finds the same branches in the same order
+        cold = ac_deflated_solve(0.04, 31, seeds=neighbour_seeds(0.04, 31, cells_away))
         cell = ac_context[0].cache.solutions(0.04)
         assert len(cold) == len(cell) == 3
         for a, b in zip(cold, cell):

@@ -27,6 +27,7 @@ from reference import (
     fresh_lu,
     fresh_lu_newton,
     linearized_ac_blocks,
+    neighbour_seeds,
     sparse_ac_jacobian,
     sparse_laplacian,
 )
@@ -138,10 +139,14 @@ class TestBandedNewton:
 
     @pytest.mark.parametrize("n", [16, 31])
     @pytest.mark.parametrize("delta", [0.02, 0.04, 0.1, 0.15])
-    def test_every_newton_run_matches_fresh_lu(self, monkeypatch, n, delta):
+    @pytest.mark.parametrize("cells_away", [1, 2])
+    def test_every_newton_run_matches_fresh_lu(self, monkeypatch, n, delta, cells_away):
         # given the same start and the same deflated roots, a run that keeps
         # its LU while full steps contract converges, or fails, as a run with
-        # a fresh LU at every step does, and to the same root
+        # a fresh LU at every step does, and to the same root; the solve is
+        # seeded with the branches one or two table cells away, as in the
+        # coarse sweep (the cold solve is covered by the whole-solve check
+        # below)
         chord = pmm.problems._newton_ac
         gaps = []
 
@@ -152,8 +157,9 @@ class TestBandedNewton:
                 gaps.append(float(np.max(np.abs(got[0] - want[0]))))
             return got
 
+        seeds = neighbour_seeds(delta, n, cells_away)
         monkeypatch.setattr(pmm.problems, "_newton_ac", both)
-        ac_deflated_solve(delta, n)
+        ac_deflated_solve(delta, n, seeds=seeds)
         assert gaps and max(gaps) <= 1e-10
 
     @pytest.mark.parametrize("n", [16, 31])
