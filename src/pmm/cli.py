@@ -2,9 +2,9 @@
 
 Four subcommands reproduce the package's headline experiments as
 plot-ready CSV files plus a JSON manifest capturing the fully resolved
-configuration, seed, version, wall time and every artifact choice that is
-not forced by the problem statement. Re-running a subcommand from its
-manifest reproduces the CSVs byte for byte.
+configuration, seed, version, wall time, the wall time of each stage and
+every artifact choice that is not forced by the problem statement.
+Re-running a subcommand from its manifest reproduces the CSVs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -76,11 +76,15 @@ class StageFailure(Exception):
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, stage_s: dict):
+    """Name the stage in a numerical failure, and record its wall time in
+    ``stage_s`` when it succeeds."""
+    t0 = time.monotonic()
     try:
         yield
     except NUMERICAL_ERRORS as exc:
         raise StageFailure(name, exc) from exc
+    stage_s[name] = time.monotonic() - t0
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +290,14 @@ def _write_csv(out_dir: str, name: str, header, rows) -> str:
     return path
 
 
-def _write_manifest(out_dir: str, experiment: str, cfg: dict, files, wall: float) -> str:
+def _write_manifest(out_dir: str, experiment: str, cfg: dict, files, wall: float,
+                    stage_s: dict) -> str:
     manifest = {
         "experiment": experiment,
         "config": cfg,
         "version": __version__,
         "wall_time_s": wall,
+        "diagnostics": {"stage_s": stage_s},
         "metadata": METADATA_NOTES[experiment],
         "files": sorted(os.path.basename(f) for f in files),
     }
@@ -301,16 +307,16 @@ def _write_manifest(out_dir: str, experiment: str, cfg: dict, files, wall: float
 
 
 # ----------------------------------------------------------------------
-# experiments: each writes its CSVs into an existing directory and
-# returns their paths
+# experiments: each writes its CSVs into an existing directory, records
+# the wall time of each stage in stage_s and returns the CSVs' paths
 # ----------------------------------------------------------------------
 
-def run_forward_demo(cfg: dict, out_dir: str) -> list:
+def run_forward_demo(cfg: dict, out_dir: str, stage_s: dict) -> list:
     kernel = _make_kernel(cfg)
     problem = Poisson1D()
     grid = np.linspace(0.0, 1.0, cfg["eval_points"])
     per_m = {}
-    with _stage("forward solve"):
+    with _stage("forward solve", stage_s):
         for m in cfg["m_values"]:
             post = solve_forward(problem.blocks(m, design=cfg["design"]), kernel)
             per_m[m] = (post.mean(grid), np.diag(post.cov(grid)).copy(), post)
@@ -322,25 +328,25 @@ def run_forward_demo(cfg: dict, out_dir: str) -> list:
     mean_cov_path = _write_csv(out_dir, "mean_cov.csv", header, zip(*cols))
 
     m0 = cfg["m_values"][0]
-    with _stage("posterior sampling"):
+    with _stage("posterior sampling", stage_s):
         draws = sample_paths(per_m[m0][2], grid, cfg["n_samples"], RngStream(cfg["seed"], 11))
     header = ["x"] + [f"sample_{i + 1:02d}" for i in range(cfg["n_samples"])]
     return [mean_cov_path, _write_csv(out_dir, "samples.csv", header, zip(grid, *draws))]
 
 
-def run_converge(cfg: dict, out_dir: str) -> list:
+def run_converge(cfg: dict, out_dir: str, stage_s: dict) -> list:
     kernel = _make_kernel(cfg)
     problem = Poisson1D(cfg["theta"])
     grid = np.linspace(0.0, 1.0, cfg["eval_points"])
-    with _stage("convergence experiment"):
+    with _stage("convergence experiment", stage_s):
         rows = convergence_experiment(problem, kernel, cfg["m_list"], grid, design=cfg["design"])
     return [_write_csv(out_dir, "convergence.csv", ["m", "h", "err_l2_rel", "cov_trace"],
                        (r.astuple() for r in rows))]
 
 
-def run_inverse_1d(cfg: dict, out_dir: str) -> list:
+def run_inverse_1d(cfg: dict, out_dir: str, stage_s: dict) -> list:
     locations = np.asarray(cfg["locations"], dtype=float)
-    with _stage("data generation"):
+    with _stage("data generation", stage_s):
         y = generate_data(cfg["theta0"], locations, cfg["sigma"], RngStream(cfg["seed"], 21))
     noise = NoiseModel.isotropic(cfg["sigma"], len(locations))
     prior = UniformPrior(cfg["prior_lo"], cfg["prior_hi"])
@@ -354,7 +360,7 @@ def run_inverse_1d(cfg: dict, out_dir: str) -> list:
         return (grid_posterior(grid, prior, pn_loglik(y, means, post.cov(locations), noise)),
                 grid_posterior(grid, prior, mvn_logpdf(y, means, noise.cov)))
 
-    with _stage("grid posteriors"):
+    with _stage("grid posteriors", stage_s):
         results = [posteriors_for(m) for m in cfg["m_list"]]
 
     header = ["theta"] + [f"density_m{m}" for m in cfg["m_list"]]
@@ -362,12 +368,12 @@ def run_inverse_1d(cfg: dict, out_dir: str) -> list:
             for idx, name in enumerate(("posterior_pmm.csv", "posterior_plugin.csv"))]
 
 
-def run_allen_cahn(cfg: dict, out_dir: str) -> list:
-    with _stage("coarse solution table"):
+def run_allen_cahn(cfg: dict, out_dir: str, stage_s: dict) -> list:
+    with _stage("coarse solution table", stage_s):
         caches = {n: CoarseSolutionCache(n, cfg["cache_resolution"])
                   for n in {cfg["grid_n"], cfg["data_grid_n"]}}
 
-    with _stage("data generation"):
+    with _stage("data generation", stage_s):
         source = caches[cfg["data_grid_n"]].solve_at(cfg["delta0"])
         if cfg["data_branch"] > len(source):
             raise SolutionIndexOutOfRange(
@@ -393,9 +399,9 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
     noise = NoiseModel.isotropic(cfg["sigma"], len(y))
     delta_prior = UniformPrior(*DELTA_RANGE)
 
-    with _stage("pilot initialization"):
+    with _stage("pilot initialization", stage_s):
         init_delta = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
-    with _stage("pseudo-marginal chain"):
+    with _stage("pseudo-marginal chain", stage_s):
         chain = pm_mcmc(
             y, delta_prior, HalfCauchyPrior(cfg["ell_prior_scale"]),
             cfg["m_particles"], cfg["n_steps"], RngStream(cfg["seed"], 33),
@@ -406,7 +412,7 @@ def run_allen_cahn(cfg: dict, out_dir: str) -> list:
         )
     files.append(_write_csv(out_dir, "chain.csv", chain.FIELDS, chain.rows()))
 
-    with _stage("plug-in baseline chain"):
+    with _stage("plug-in baseline chain", stage_s):
         plug = ac_plugin_mcmc(
             y, delta_prior, cfg["n_steps"], RngStream(cfg["seed"], 34),
             setup=setup, noise=noise, step_scale=cfg["delta_step"],
@@ -486,14 +492,14 @@ def main(argv=None) -> int:
         return 2
 
     os.makedirs(args.output_dir, exist_ok=True)
-    t0 = time.monotonic()
+    t0, stage_s = time.monotonic(), {}
     try:
-        files = RUNNERS[args.experiment](cfg, args.output_dir)
+        files = RUNNERS[args.experiment](cfg, args.output_dir, stage_s)
     except StageFailure as exc:
         print(f"numerical failure in {exc}", file=sys.stderr)
         return 3
     files.append(_write_manifest(args.output_dir, args.experiment, cfg, files,
-                                 time.monotonic() - t0))
+                                 time.monotonic() - t0, stage_s))
     for path in files:
         print(path)
     return 0

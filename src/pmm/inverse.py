@@ -244,8 +244,9 @@ class ACInverseSetup:
     it holds what no likelihood call changes: the squared distances between
     the rows of the joint matrix of ``pm_loglik``, in its order
     [identity@interior, operator@interior, boundary, data] (the interior
-    points appear twice), and each coarse branch's values at the interior
-    design points and the data points, one entry per (cache cell, j).
+    points appear twice), and each coarse branch's ``-u^3`` at the interior
+    design points and its values ``u`` at the data points, one entry per
+    (cache cell, j).
     """
 
     design: ACDesign
@@ -263,13 +264,15 @@ class ACInverseSetup:
         for cell, sols in self.cache._store.items():
             for j, sol in enumerate(sols, start=1):
                 vals = sol.interpolate(targets)
+                vals[:len(interior)] = -vals[:len(interior)] ** 3
                 vals.setflags(write=False)  # every caller shares these arrays
                 branches[cell, j] = (vals[:len(interior)], vals[len(interior):])
         object.__setattr__(self, "_branches", branches)
 
     def branch_values(self, delta: float, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """The j-th coarse branch at the interior design points and at the
-        data points, shared by every delta in one cache cell."""
+        """The j-th coarse branch's ``-u^3`` at the interior design points
+        and its values at the data points, shared by every delta in one
+        cache cell."""
         hit = self._branches.get((self.cache._cell(delta), j))
         if hit is None:
             raise SolutionIndexOutOfRange(
@@ -279,7 +282,7 @@ class ACInverseSetup:
     def latent_centre(self, delta: float, j: int) -> np.ndarray:
         """The latent field ``-u^3 / delta`` of the j-th branch at the
         interior design points, at this delta rather than its cell's."""
-        return -self.branch_values(delta, j)[0] ** 3 / delta
+        return self.branch_values(delta, j)[0] / delta
 
 
 # ----------------------------------------------------------------------
@@ -300,28 +303,11 @@ class PMEstimate:
     @classmethod
     def from_log_weights(cls, log_weights) -> "PMEstimate":
         lw = np.asarray(log_weights, dtype=float).reshape(-1)
-        if not np.isfinite(lw).any():
+        shift = lw.max(initial=-np.inf)
+        # a finite maximum is a finite weight; only a non-finite one needs the scan
+        if not math.isfinite(shift) and not np.isfinite(lw).any():
             raise AllWeightsDegenerate("all importance weights underflowed")
-        shift = lw.max()
         return cls(float(shift + np.log(np.exp(lw - shift).sum() / lw.size)), lw)
-
-
-def _draw_latents(zbar, lower, m: int, rng: RngStream, xi=None):
-    """Batch of Gaussian latent draws ``zbar + lower xi`` with their
-    log-densities under ``N(zbar, lower lower^T)``.
-
-    Draws and densities come from the one factor ``lower``, so each density
-    is exactly that of the proposal the draw came from. A pre-drawn
-    standard-normal batch ``xi`` may be supplied (the correlated
-    pseudo-marginal chain keeps one in its state).
-    """
-    dim = len(lower)
-    if xi is None:
-        xi = rng.generator().standard_normal((m, dim))
-    draws = zbar[None, :] + xi @ lower.T
-    logdet = 2.0 * np.sum(np.log(np.diag(lower)))
-    log_r = -0.5 * (dim * _LOG_2PI + logdet + np.sum(xi**2, axis=1))
-    return draws, log_r
 
 
 def _operator_rows(delta: float, ell: float):
@@ -362,7 +348,8 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     weights divide out the proposal density (the latent prior is flat, so
     no prior factor appears). The estimate is the log of the weight
     average. ``xi`` optionally fixes the underlying standard-normal batch,
-    which is how the correlated chain couples successive estimates.
+    of shape ``(m_particles, n_int)``, which is how the correlated chain
+    couples successive estimates; without it one batch is drawn from ``rng``.
 
     The latent field only enters the right-hand side, so one Cholesky
     factor ``L`` of the joint covariance of [identity@interior,
@@ -373,7 +360,9 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     posterior mean; the trailing diagonal of ``L`` gives the log-determinant
     of the marginal data covariance. The proposal covariance is the
     identity@interior block, so the leading block of the same ``L`` draws
-    the particles and gives their densities. When ``chol_jitter`` has to
+    the particles and gives their densities; so each log-weight is one
+    constant, from the log-diagonal of ``L``, plus half the squared norm of
+    its normals minus half that of its residual. When ``chol_jitter`` has to
     jitter the joint, the proposal is the leading block of the jittered
     joint; draws and densities still come from one factor, so the estimate
     stays unbiased.
@@ -387,21 +376,30 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
                          f"locations, noise covariance of size {noise.n}")
     zbar = setup.latent_centre(delta, j)
     n_int = zbar.size
+    if xi is None:
+        xi = rng.generator().standard_normal((m_particles, n_int))
+    elif np.shape(xi) != (m_particles, n_int):
+        raise ValueError(f"xi has shape {np.shape(xi)}, expected (m_particles, n_int) = "
+                         f"{(m_particles, n_int)}")
     op, s = _operator_rows(delta, ell)  # the joint's operator rows come out equilibrated
     joint = _joint_matrix(setup, op, ell, noise)
     n_gram = len(joint) - n_data
-    factor = chol_jitter(joint)
-    z_draws, log_r = _draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)
+    lower = chol_jitter(joint).lower
+    z_draws = zbar + xi @ lower[:n_int, :n_int].T
     # G^T solves L^T G^T = I[:, n_gram:]; both are Fortran-ordered, so LAPACK
     # copies neither. A non-finite draw shows in the weights.
     eye = np.eye(len(joint), n_data, -n_gram, order="F")
-    g = dtrtrs(factor.lower.T, eye, lower=0, overwrite_b=1)[0].T
+    g = dtrtrs(lower.T, eye, lower=0, overwrite_b=1)[0].T
     resid = (g[:, :n_int] @ np.cbrt(-delta * z_draws).T
              + (g[:, n_int:2 * n_int] / s) @ z_draws.T
              + (g[:, 2 * n_int:n_gram] @ setup.design.boundary_rhs + g[:, n_gram:] @ y)[:, None])
-    logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)[n_gram:]))
-    logliks = -0.5 * (n_data * _LOG_2PI + logdet + np.sum(resid**2, axis=0))
-    return PMEstimate.from_log_weights(logliks - log_r)
+    # log N(y; mean, data cov) - log N(z; zbar, K_int), whose log-determinants
+    # are twice the log-diagonal sums of the data block and of the leading block
+    log_diag = np.log(np.diagonal(lower))
+    const = (0.5 * (n_int - n_data) * _LOG_2PI
+             + log_diag[:n_int].sum() - log_diag[n_gram:].sum())
+    log_w = const + 0.5 * (np.einsum("ij,ij->i", xi, xi) - np.einsum("ij,ij->j", resid, resid))
+    return PMEstimate.from_log_weights(log_w)
 
 
 # ----------------------------------------------------------------------

@@ -113,30 +113,31 @@ def _sqexp_gram(r2, left, right, ell: float, d: int):
     second argument: scalars, or one value per row (per column) of ``r2``.
     With ``e = 1/l^2``, ``(-lap) k = (d e - e^2 r2) k`` on either argument
     and ``(-lap_x)(-lap_y) k = (d (d+2) e^2 - 2 (d+2) e^3 r2 + e^4 r2^2) k``,
-    so an entry is bilinear in the two pairs. Products commute, so equal
+    so an entry is ``k`` times a quadratic in ``r2`` whose coefficients are
+    bilinear in the two pairs. Products and sums commute, so equal
     coefficients on both sides of a square ``r2`` give an exactly symmetric
-    matrix; a term whose coefficients all vanish is skipped.
+    matrix.
     """
     return _sqexp_form(np.exp(-0.5 * (1.0 / ell**2) * r2), r2, left, right, ell, d)
 
 
 def _sqexp_form(kv, r2, left, right, ell: float, d: int):
     """``_sqexp_gram`` from the kernel values ``kv = k(r2)``, which it
-    returns itself when both sides are the identity."""
+    returns itself when both sides are the identity: ``kv (p2 r2^2 + p1 r2
+    + p0)`` by Horner's rule, without the ``r2^2`` term when ``p2`` vanishes."""
     (la, lc), (ra, rc) = left, right
     if isinstance(la, np.ndarray):
         la, lc = la[:, None], lc[:, None]
+    cc, mixed, both = lc * rc, la * rc + lc * ra, la * ra
+    quadratic = _nonzero(both)
+    if not (quadratic or _nonzero(mixed)):
+        return kv if isinstance(cc, float) and cc == 1.0 else cc * kv
     e = 1.0 / ell**2
-    cc = lc * rc
-    out = kv if isinstance(cc, float) and cc == 1.0 else cc * kv
-    mixed = la * rc + lc * ra
-    if _nonzero(mixed):
-        out = out + mixed * (d * e - e**2 * r2) * kv
-    both = la * ra
-    if _nonzero(both):
-        bl = d * (d + 2) * e**2 - 2.0 * (d + 2) * e**3 * r2 + e**4 * r2**2
-        out = out + both * bl * kv
-    return out
+    p0 = cc + (d * e) * mixed + (d * (d + 2) * e**2) * both
+    p1 = -(e**2) * mixed - (2.0 * (d + 2) * e**3) * both
+    if quadratic:
+        return kv * ((e**4 * both * r2 + p1) * r2 + p0)
+    return kv * (p1 * r2 + p0)
 
 
 def _matern72_gram(r2, left, right, ell: float, d: int):

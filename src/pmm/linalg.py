@@ -100,25 +100,26 @@ def chol_jitter(m) -> CholFactor:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.mean(np.diag(m)))
-    if scale <= 0.0 or not np.isfinite(scale):
-        scale = 1.0
-    jitter_min = 1e-10 * scale
-    jitter_max = 1e-2 * scale
-
     n = m.shape[0]
     jitter = 0.0
     while True:
         try:
             lower = np.linalg.cholesky(m + jitter * np.eye(n) if jitter else m)
         except np.linalg.LinAlgError:
-            # an inf below the diagonal fails here rather than in the factor
-            if jitter == 0.0 and not np.isfinite(m).all():
-                raise FloatingPointError(f"size-{n} matrix has non-finite entries") from None
-            jitter = jitter_min if jitter == 0.0 else 10.0 * jitter
-            if jitter > jitter_max * (1.0 + 1e-12):
+            if jitter:
+                jitter *= 10.0
+            else:
+                # an inf below the diagonal fails here rather than in the factor
+                if not np.isfinite(m).all():
+                    raise FloatingPointError(f"size-{n} matrix has non-finite entries") from None
+                # the scale is needed only once the plain factorization has failed
+                scale = float(np.mean(np.diag(m)))
+                if scale <= 0.0 or not np.isfinite(scale):
+                    scale = 1.0
+                jitter = 1e-10 * scale
+            if jitter > 1e-2 * scale * (1.0 + 1e-12):
                 raise NotPositiveDefinite(
-                    f"Cholesky failed up to jitter {jitter_max:.3e} "
+                    f"Cholesky failed up to jitter {1e-2 * scale:.3e} "
                     f"(matrix size {n}, diagonal mean {scale:.3e})"
                 ) from None
         else:

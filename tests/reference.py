@@ -20,7 +20,11 @@ likelihood in ``phi = 1 / theta``. ``three_call_joint`` and
 ``pm_loglik_all_rows`` are ``pmm.inverse``'s joint matrix and
 importance-sampled estimate built the longer way: three kernel evaluations
 for the joint, and one triangular solve over all of its rows with every
-particle's full right-hand side.
+particle's full right-hand side, the particles from ``draw_latents`` and
+each log-weight as the difference of two log-densities.
+``sqexp_gram_three_term`` is the SE operator Gram as the sum of its three
+bilinear terms, each times the kernel values, against which the package's
+one polynomial in ``r2`` is checked, alone and in that estimate's joint.
 """
 
 from contextlib import contextmanager
@@ -34,7 +38,7 @@ from scipy.linalg.lapack import dgbsv, dtrtrs
 import pmm.kernels
 import pmm.problems
 from pmm.forward import ObservationBlock
-from pmm.inverse import PMEstimate, _draw_latents, _operator_rows
+from pmm.inverse import PMEstimate, _operator_rows
 from pmm.kernels import (
     IDENTITY,
     Matern72Kernel,
@@ -303,35 +307,61 @@ def gls_phi(y, mean, cov) -> float:
     return float(w_mu @ w_y / (w_mu @ w_mu))
 
 
-def three_call_joint(setup, op, ell: float, noise):
-    """``pmm.inverse._joint_matrix`` with one ``kernels._sqexp_gram`` call
-    each for all rows, the operator rows and the operator block."""
+def sqexp_gram_three_term(r2, left, right, ell: float, d: int):
+    """``pmm.kernels._sqexp_gram`` as ``cc' k + (ac' + ca') (d e - e^2 r2) k
+    + aa' (d (d+2) e^2 - 2 (d+2) e^3 r2 + e^4 r2^2) k`` with ``e = 1/l^2``,
+    each term a separate array; a term whose coefficients vanish is skipped."""
+    kv = np.exp(-0.5 * (1.0 / ell**2) * r2)
+    (la, lc), (ra, rc) = left, right
+    if isinstance(la, np.ndarray):
+        la, lc = la[:, None], lc[:, None]
+    e = 1.0 / ell**2
+    cc = lc * rc
+    out = kv if isinstance(cc, float) and cc == 1.0 else cc * kv
+    mixed = la * rc + lc * ra
+    if np.any(mixed):
+        out = out + mixed * (d * e - e**2 * r2) * kv
+    both = la * ra
+    if np.any(both):
+        bl = d * (d + 2) * e**2 - 2.0 * (d + 2) * e**3 * r2 + e**4 * r2**2
+        out = out + both * bl * kv
+    return out
+
+
+def three_call_joint(setup, op, ell: float, noise, sqexp_gram=None):
+    """``pmm.inverse._joint_matrix`` with one ``sqexp_gram`` call each for
+    all rows, the operator rows and the operator block; by default
+    ``sqexp_gram`` is the package's ``kernels._sqexp_gram``."""
+    sqexp_gram = sqexp_gram or pmm.kernels._sqexp_gram
     r2 = setup._r2
     n_int = len(setup.design.interior_points)
     rows = slice(n_int, 2 * n_int)
-    joint = pmm.kernels._sqexp_gram(r2, IDENTITY, IDENTITY, ell, 2)
-    op_rows = pmm.kernels._sqexp_gram(r2[rows], op, IDENTITY, ell, 2)
+    joint = sqexp_gram(r2, IDENTITY, IDENTITY, ell, 2)
+    op_rows = sqexp_gram(r2[rows], op, IDENTITY, ell, 2)
     joint[rows] = op_rows
     joint[:, rows] = op_rows.T
-    joint[rows, rows] = pmm.kernels._sqexp_gram(r2[rows, rows], op, op, ell, 2)
+    joint[rows, rows] = sqexp_gram(r2[rows, rows], op, op, ell, 2)
     n_gram = len(r2) - len(setup.data_locations)
     joint[n_gram:, n_gram:] += noise.cov
     return joint
 
 
 def pm_loglik_all_rows(y, delta: float, ell: float, j: int, m_particles: int,
-                       noise, rng, *, setup, xi=None):
+                       noise, rng, *, setup, xi=None, sqexp_gram=None):
     """``pmm.inverse.pm_loglik`` by one triangular solve of the joint factor
     against the stacked right-hand sides [cbrt(-delta z); z / s; boundary;
-    y] of all M particles, of which the data rows are the residuals."""
+    y] of all M particles, of which the data rows are the residuals; the
+    particles and their log-densities come from ``draw_latents``, and each
+    log-weight is the data log-density minus the particle's. The joint is
+    ``three_call_joint``'s with ``sqexp_gram``."""
     y = np.asarray(y, dtype=float).reshape(-1)
     zbar = setup.latent_centre(delta, j)
     n_int = zbar.size
     op, s = _operator_rows(delta, ell)
-    joint = three_call_joint(setup, op, ell, noise)
+    joint = three_call_joint(setup, op, ell, noise, sqexp_gram)
     n_gram = len(joint) - y.size
     factor = chol_jitter(joint)
-    z_draws, log_r = _draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)
+    z_draws, log_r = draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)
     rhs = np.empty((len(joint), m_particles))
     rhs[:n_int] = np.cbrt(-delta * z_draws).T
     rhs[n_int:2 * n_int] = z_draws.T / s
@@ -341,3 +371,17 @@ def pm_loglik_all_rows(y, delta: float, ell: float, j: int, m_particles: int,
     logdet = 2.0 * np.sum(np.log(np.diag(factor.lower)[n_gram:]))
     logliks = -0.5 * (y.size * np.log(2.0 * np.pi) + logdet + np.sum(resid**2, axis=0))
     return PMEstimate.from_log_weights(logliks - log_r)
+
+
+def draw_latents(zbar, lower, m: int, rng, xi=None):
+    """Batch of Gaussian latent draws ``zbar + lower xi`` with their
+    log-densities under ``N(zbar, lower lower^T)``; ``xi`` is drawn from
+    ``rng`` when not given."""
+    dim = len(lower)
+    if xi is None:
+        xi = rng.generator().standard_normal((m, dim))
+    draws = zbar[None, :] + xi @ lower.T
+    logdet = 2.0 * np.sum(np.log(np.diag(lower)))
+    log_r = -0.5 * (dim * np.log(2.0 * np.pi) + logdet + np.sum(xi**2, axis=1))
+    return draws, log_r
+

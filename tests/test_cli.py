@@ -206,7 +206,7 @@ class TestInverse1D:
 
         monkeypatch.setattr(pmm.cli, "solve_forward", counting)
         cfg = _parse_config("inverse-1d", None, {"m_list": "4,8,16", "grid_n": "60"})
-        run_inverse_1d(cfg, str(tmp_path))
+        run_inverse_1d(cfg, str(tmp_path), {})
         assert len(calls) == len(cfg["m_list"]) == 3
 
     def test_one_factor_per_design_size_and_likelihood(self, tmp_path, monkeypatch):
@@ -219,7 +219,7 @@ class TestInverse1D:
 
         monkeypatch.setattr(pmm.linalg, "chol_jitter", counting)
         cfg = _parse_config("inverse-1d", None, {"m_list": "4,8,16", "grid_n": "60"})
-        run_inverse_1d(cfg, str(tmp_path))
+        run_inverse_1d(cfg, str(tmp_path), {})
         assert calls == [2] * (2 * len(cfg["m_list"]))
 
     def test_nan_likelihood_names_its_stage(self, tmp_path, capsys, monkeypatch):
@@ -250,6 +250,17 @@ class TestAllenCahn:
         assert len(rows) == 40
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert "noise_sigma" in manifest["metadata"]
+
+    def test_manifest_times_each_stage(self, tmp_path):
+        out = str(tmp_path)
+        assert main(["allen-cahn", "--output-dir", out, *FAST_AC]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        stage_s = manifest["diagnostics"]["stage_s"]
+        assert sorted(stage_s) == sorted([
+            "coarse solution table", "data generation", "pilot initialization",
+            "pseudo-marginal chain", "plug-in baseline chain"])
+        assert all(t >= 0.0 for t in stage_s.values())
+        assert sum(stage_s.values()) <= manifest["wall_time_s"]
 
     def test_burn_in_changes_no_csv(self, tmp_path):
         # both chain files hold every step; burn_in is only recorded (FAST_AC

@@ -28,7 +28,6 @@ from pmm.inverse import (
     pm_loglik,
     pm_mcmc,
     pn_loglik,
-    _draw_latents,
     _joint_matrix,
     _mh_chain,
     _operator_rows,
@@ -39,12 +38,14 @@ from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
 from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
 from reference import (
     ac_residual,
+    draw_latents,
     fresh_lu,
     gls_phi,
     linearized_ac_blocks,
     neighbour_seeds,
     plain_seed_sweep,
     pm_loglik_all_rows,
+    sqexp_gram_three_term,
     three_call_joint,
 )
 
@@ -399,7 +400,7 @@ class TestImportanceSampleZ:
         setup, _, noise = ac_context
         _, lower = self.shared_factor(setup, noise, 0.04, 0.2)
         zbar = setup.latent_centre(0.04, 1)
-        z, _ = _draw_latents(zbar, 1e-6 * lower, 1, RngStream(1))
+        z, _ = draw_latents(zbar, 1e-6 * lower, 1, RngStream(1))
         center = -setup.cache.solutions(0.04)[0].interpolate(setup.design.interior_points) ** 3 / 0.04
         np.testing.assert_array_equal(zbar, center)
         assert np.max(np.abs(z[0] - center)) < 1e-4
@@ -409,7 +410,7 @@ class TestImportanceSampleZ:
         _, lower = self.shared_factor(setup, noise, 0.04, 0.2)
         center = setup.latent_centre(0.04, 1)
         expected = mvn_logpdf(center, center, self.k_int(setup, 0.2))
-        _, log_r = _draw_latents(center, lower, 1, RngStream(0), xi=np.zeros((1, len(center))))
+        _, log_r = draw_latents(center, lower, 1, RngStream(0), xi=np.zeros((1, len(center))))
         assert log_r[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ell", [0.05, 0.1, 0.2])
@@ -420,7 +421,7 @@ class TestImportanceSampleZ:
         factor, lower = self.shared_factor(setup, noise, 0.04, ell)
         assert factor.jitter_used == 0.0
         zbar = setup.latent_centre(0.04, 2)
-        z, log_r = _draw_latents(zbar, lower, 6, RngStream(3, 1))
+        z, log_r = draw_latents(zbar, lower, 6, RngStream(3, 1))
         k_int = self.k_int(setup, ell)
         for z_i, lr in zip(z, log_r):
             assert lr == pytest.approx(mvn_logpdf(z_i, zbar, k_int), rel=1e-12)
@@ -552,6 +553,38 @@ class TestDataRowSolve:
             assert shapes == [((n, n), (n, len(y)))] * calls
 
 
+class TestThreeTermOracle:
+    """The estimate with the SE Gram as one polynomial in ``r2`` against the
+    all-rows oracle whose joint sums the form's three terms."""
+
+    @pytest.mark.parametrize("per_axis,m,n_steps", [(5, 32, 500), (8, 64, 200)])
+    def test_chain_matches_oracle_chain(self, ac_context, designs, per_axis, m, n_steps):
+        setup, (_, y, noise) = designs[per_axis], ac_context
+
+        def oracle(delta, ell, j, xi):
+            return pm_loglik_all_rows(y, delta, ell, j, m, noise, RngStream(0), setup=setup,
+                                      xi=xi, sqexp_gram=sqexp_gram_three_term)
+
+        kwargs = dict(setup=setup, noise=noise, init=(0.04, 0.1, 1))
+        a = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), m, n_steps,
+                    RngStream(27, per_axis), **kwargs)
+        b = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), m, n_steps,
+                    RngStream(27, per_axis), estimator=oracle, **kwargs)
+        for name in ("delta", "ell", "j", "accepted"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        np.testing.assert_allclose(a.log_estimate, b.log_estimate, rtol=1e-10, atol=0)
+        assert 0.0 < a.acceptance_rate < 1.0
+
+    @pytest.mark.parametrize("per_axis", [5, 8])
+    def test_drawn_batch_matches_oracle(self, ac_context, designs, per_axis):
+        # without xi, both draw one batch from the same generator call
+        setup, (_, y, noise) = designs[per_axis], ac_context
+        got = pm_loglik(y, 0.0406, 0.1, 2, 16, noise, RngStream(5, 2), setup=setup)
+        want = pm_loglik_all_rows(y, 0.0406, 0.1, 2, 16, noise, RngStream(5, 2), setup=setup,
+                                  sqexp_gram=sqexp_gram_three_term)
+        np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-10, atol=0)
+
+
 class TestPmLoglik:
     def test_single_particle_is_single_weight(self, ac_context):
         setup, y, noise = ac_context
@@ -625,6 +658,15 @@ class TestPmLoglik:
         with pytest.raises(ValueError, match=f"{y_size} data values, 16 data locations, "
                                              f"noise covariance of size {noise_size}"):
             pm_loglik(y[:y_size], 0.04, 0.1, 1, 4, noise, RngStream(0), setup=setup)
+
+    @pytest.mark.parametrize("shape", [(7, 25), (32, 24)])
+    def test_xi_shape_mismatch_raises(self, ac_context, shape):
+        # unchecked, a short batch would give fewer weights and a narrow one fail in matmul
+        setup, y, noise = ac_context
+        xi = np.zeros(shape)
+        with pytest.raises(ValueError, match=re.escape(f"xi has shape {shape}, expected "
+                                                       "(m_particles, n_int) = (32, 25)")):
+            pm_loglik(y, 0.04, 0.1, 1, 32, noise, RngStream(0), setup=setup, xi=xi)
 
     def test_one_cell_shares_branch_values(self, ac_context):
         setup, _, _ = ac_context

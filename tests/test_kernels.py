@@ -4,6 +4,7 @@ from scipy.spatial import cKDTree
 
 from pmm.forward import edge_points_2d, interior_grid_2d
 from pmm.kernels import (
+    IDENTITY,
     EmptyDesign,
     Matern72Kernel,
     OperatorTag,
@@ -14,10 +15,11 @@ from pmm.kernels import (
     op_gram,
     unit_interval_probe,
     unit_square_probe,
+    _sqexp_gram,
 )
 from pmm.linalg import chol_jitter
 from pmm.problems import Poisson1D
-from reference import default_fd_step, fd_check
+from reference import default_fd_step, fd_check, sqexp_gram_three_term
 
 ID = OperatorTag.identity()
 NL = OperatorTag(1.0, 0.0)
@@ -187,6 +189,32 @@ class TestGramPsd:
                     gram[i, j] = entry(tags[i], tags[j], k, pts[i], pts[j])
             f = chol_jitter(gram)
             assert f.jitter_used <= 1e-6 * np.mean(np.diag(gram))
+
+
+class TestPolynomialForm:
+    """``_sqexp_gram``'s one polynomial in ``r2`` against the sum of its
+    three bilinear terms, for scalar and per-row (a, c) on either side."""
+
+    SCALAR = [IDENTITY, (1.0, 0.0), (0.7, -2.0), (0.04, -25.0), (0.0406, -24.6)]
+
+    @pytest.mark.parametrize("ell", [0.05, 0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_within_8_ulp_of_three_term_form(self, dim, ell):
+        rng = np.random.default_rng(int(100 * ell) + dim)
+        x, y = rng.uniform(0.0, 1.0, (20, dim)), rng.uniform(0.0, 1.0, (15, dim))
+        r2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+
+        def per_row(n):
+            picks = [self.SCALAR[i] for i in rng.integers(0, len(self.SCALAR), n)]
+            return tuple(np.array([p[k] for p in picks]) for k in (0, 1))
+
+        for left in self.SCALAR + [per_row(20)]:
+            for right in self.SCALAR + [per_row(15)]:
+                want = sqexp_gram_three_term(r2, left, right, ell, dim)
+                got = _sqexp_gram(r2, left, right, ell, dim)
+                assert got.shape == want.shape == (20, 15)
+                gap = np.max(np.abs(got - want))
+                assert gap <= 8 * np.spacing(np.max(np.abs(want))), (left, right, gap)
 
 
 class TestFillDistance:

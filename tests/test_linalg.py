@@ -77,7 +77,20 @@ class TestCholJitter:
 
     def test_zero_matrix_uses_unit_scale(self):
         f = chol_jitter(np.zeros((3, 3)))
-        assert f.jitter_used > 0.0
+        assert f.jitter_used == 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 0.37])
+    def test_singular_psd_matrix_takes_the_first_rung(self, scale):
+        # the second pivot of a rank-1 matrix is exactly zero, which the plain
+        # factorization refuses and the smallest jitter repairs
+        m = np.full((2, 2), scale)
+        f = chol_jitter(m)
+        assert f.jitter_used == 1e-10 * np.mean(np.diag(m))
+
+    @pytest.mark.parametrize("diag", [[-5e-11, -5e-11], [-5e-11, 4e-11]])
+    def test_negative_diagonal_mean_uses_unit_scale(self, diag):
+        f = chol_jitter(np.diag(diag))
+        assert f.jitter_used == 1e-10
 
     def test_schedule_is_geometric(self):
         # smallest eigenvalue -1e-8: the schedule walks up by factors of 10
