@@ -7,19 +7,17 @@ field splits the cubic into a pair of equations that are linear in u,
 which is what lets the Gaussian solver and the pseudo-marginal chain
 attack the inverse problem for delta.
 
-Run:  python3 demos/allen_cahn_branches.py    (takes a minute or two)
+Run:  python3 demos/allen_cahn_branches.py    (takes a few seconds)
 """
 
 import numpy as np
 
 from pmm import (
-    DELTA_RANGE,
     ACInverseSetup,
     CoarseSolutionCache,
     HalfCauchyPrior,
     NoiseModel,
     RngStream,
-    UniformPrior,
     ac_deflated_solve,
     ac_design,
     ac_plugin_mcmc,
@@ -46,14 +44,13 @@ y = solutions[0].interpolate(data_locations) \
     + sigma * RngStream(0, 32).generator().standard_normal(len(data_locations))
 setup = ACInverseSetup(design=ac_design(5, 5), data_locations=data_locations, cache=cache)
 noise = NoiseModel.isotropic(sigma, len(y))
-prior = UniformPrior(*DELTA_RANGE)
-init = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
+init = plugin_delta_scan(y, setup, noise)
 
 print("\nrunning the solver-aware pseudo-marginal chain (2000 steps) ...")
-chain = pm_mcmc(y, prior, HalfCauchyPrior(1.0), 32, 2000, RngStream(0, 33),
+chain = pm_mcmc(y, HalfCauchyPrior(1.0), 32, 2000, RngStream(0, 33),
                 setup=setup, noise=noise, init=(init, 0.1, 1))
 print("running the plug-in baseline chain ...")
-plug = ac_plugin_mcmc(y, prior, 2000, RngStream(0, 34), setup=setup, noise=noise,
+plug = ac_plugin_mcmc(y, 2000, RngStream(0, 34), setup=setup, noise=noise,
                       init=(init, 1), step_scale=0.003)
 
 burn = 400

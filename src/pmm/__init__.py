@@ -28,13 +28,12 @@ from .inverse import (
 )
 from .kernels import SqExpKernel
 from .linalg import RngStream, mvn_logpdf
-from .problems import DELTA_RANGE, Poisson1D, ac_deflated_solve, ac_design, generate_data
+from .problems import Poisson1D, ac_deflated_solve, ac_design, generate_data
 
 # what the demos import; everything else is reached through its module
 __all__ = [
     "ACInverseSetup",
     "CoarseSolutionCache",
-    "DELTA_RANGE",
     "HalfCauchyPrior",
     "NoiseModel",
     "Poisson1D",

@@ -22,13 +22,15 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .forward import convergence_experiment, interior_grid_2d, sample_paths, solve_forward
+from .forward import (ConvergenceRow, convergence_experiment, interior_grid_2d, sample_paths,
+                      solve_forward)
 from .inverse import (
     ACInverseSetup,
     CoarseSolutionCache,
     HalfCauchyPrior,
     MIN_GRID_POINTS,
     NoiseModel,
+    PILOT_GRID,
     UniformPrior,
     ac_plugin_mcmc,
     grid_posterior,
@@ -183,6 +185,9 @@ METADATA_NOTES = {
     "allen-cahn": {
         "noise_sigma": "artifact choice, not pinned by the problem statement",
         "chain": "correlated pseudo-marginal (noise_correlation), pilot-initialized",
+        "delta_prior": f"uniform on {DELTA_RANGE}, the range of the coarse solution table",
+        "pilot_grid": "both chains start from the best plug-in fit among delta = "
+                      + ", ".join(f"{d:g}" for d in PILOT_GRID),
         "data_locations": "regular interior lattice, artifact choice",
         "data_source": "branch data_branch at delta0 from one continuation step below "
                        "the data_grid_n solution table, independent of seed",
@@ -340,7 +345,7 @@ def run_converge(cfg: dict, out_dir: str, stage_s: dict) -> list:
     grid = np.linspace(0.0, 1.0, cfg["eval_points"])
     with _stage("convergence experiment", stage_s):
         rows = convergence_experiment(problem, kernel, cfg["m_list"], grid, design=cfg["design"])
-    return [_write_csv(out_dir, "convergence.csv", ["m", "h", "err_l2_rel", "cov_trace"],
+    return [_write_csv(out_dir, "convergence.csv", ConvergenceRow.FIELDS,
                        (r.astuple() for r in rows))]
 
 
@@ -397,13 +402,12 @@ def run_allen_cahn(cfg: dict, out_dir: str, stage_s: dict) -> list:
             zip(np.tile(sol.coords, sol.n), np.repeat(sol.coords, sol.n), sol.u.ravel())))
 
     noise = NoiseModel.isotropic(cfg["sigma"], len(y))
-    delta_prior = UniformPrior(*DELTA_RANGE)
 
     with _stage("pilot initialization", stage_s):
-        init_delta = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
+        init_delta = plugin_delta_scan(y, setup, noise)
     with _stage("pseudo-marginal chain", stage_s):
         chain = pm_mcmc(
-            y, delta_prior, HalfCauchyPrior(cfg["ell_prior_scale"]),
+            y, HalfCauchyPrior(cfg["ell_prior_scale"]),
             cfg["m_particles"], cfg["n_steps"], RngStream(cfg["seed"], 33),
             setup=setup, noise=noise,
             step_scales=(cfg["delta_step"], cfg["logell_step"]),
@@ -414,7 +418,7 @@ def run_allen_cahn(cfg: dict, out_dir: str, stage_s: dict) -> list:
 
     with _stage("plug-in baseline chain", stage_s):
         plug = ac_plugin_mcmc(
-            y, delta_prior, cfg["n_steps"], RngStream(cfg["seed"], 34),
+            y, cfg["n_steps"], RngStream(cfg["seed"], 34),
             setup=setup, noise=noise, step_scale=cfg["delta_step"],
             init=(init_delta, 1),
         )
@@ -441,7 +445,7 @@ def _collect_overrides(pairs) -> dict:
         tok = pairs[i]
         if not tok.startswith("--"):
             raise ConfigError(f"expected --key value, got {tok!r}")
-        key = tok[2:].replace("-", "_")
+        key = tok[2:]
         if "=" in key:
             key, val = key.split("=", 1)
         else:
@@ -449,7 +453,7 @@ def _collect_overrides(pairs) -> dict:
                 raise ConfigError(f"missing value for {tok!r}")
             val = pairs[i + 1]
             i += 1
-        overrides[key] = val
+        overrides[key.replace("-", "_")] = val
         i += 1
     return overrides
 

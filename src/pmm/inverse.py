@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .kernels import IDENTITY, _sqexp_form, _sqexp_gram
-from .linalg import RngStream, chol_jitter, mvn_logpdf
+from .linalg import _LOG_2PI, RngStream, chol_jitter, mvn_logpdf
 from .problems import DELTA_RANGE, ACDesign, GridSolution, ac_deflated_solve
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "plugin_delta_scan",
 ]
 
-_LOG_2PI = np.log(2.0 * np.pi)
 MIN_GRID_POINTS = 50  # fewest points of a grid posterior
 
 
@@ -337,9 +336,8 @@ def _joint_matrix(setup: ACInverseSetup, op, ell: float, noise: NoiseModel):
     return joint
 
 
-def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
-              noise: NoiseModel, rng: RngStream, *, setup: ACInverseSetup,
-              xi=None) -> PMEstimate:
+def pm_loglik(y, delta: float, ell: float, j: int, noise: NoiseModel, *,
+              setup: ACInverseSetup, xi) -> PMEstimate:
     """Importance-sampled estimate of the intractable data likelihood.
 
     Each particle draws a latent field from the Gaussian proposal around
@@ -347,9 +345,9 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     induces, and scores the data under the solver-marginalized Gaussian;
     weights divide out the proposal density (the latent prior is flat, so
     no prior factor appears). The estimate is the log of the weight
-    average. ``xi`` optionally fixes the underlying standard-normal batch,
-    of shape ``(m_particles, n_int)``, which is how the correlated chain
-    couples successive estimates; without it one batch is drawn from ``rng``.
+    average. ``xi`` is the standard-normal batch behind the particles, one
+    row per particle and one column per interior design point; the
+    correlated chain keeps it in its state to couple successive estimates.
 
     The latent field only enters the right-hand side, so one Cholesky
     factor ``L`` of the joint covariance of [identity@interior,
@@ -367,8 +365,6 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
     joint; draws and densities still come from one factor, so the estimate
     stays unbiased.
     """
-    if m_particles < 1:
-        raise ValueError("need at least one particle")
     y = np.asarray(y, dtype=float).reshape(-1)
     n_data = len(setup.data_locations)
     if not y.size == n_data == noise.n:
@@ -376,11 +372,9 @@ def pm_loglik(y, delta: float, ell: float, j: int, m_particles: int,
                          f"locations, noise covariance of size {noise.n}")
     zbar = setup.latent_centre(delta, j)
     n_int = zbar.size
-    if xi is None:
-        xi = rng.generator().standard_normal((m_particles, n_int))
-    elif np.shape(xi) != (m_particles, n_int):
-        raise ValueError(f"xi has shape {np.shape(xi)}, expected (m_particles, n_int) = "
-                         f"{(m_particles, n_int)}")
+    if np.shape(xi)[1:] != (n_int,) or len(xi) < 1:
+        raise ValueError(f"xi has shape {np.shape(xi)}, expected one or more rows of "
+                         f"n_int = {n_int} columns")
     op, s = _operator_rows(delta, ell)  # the joint's operator rows come out equilibrated
     joint = _joint_matrix(setup, op, ell, noise)
     n_gram = len(joint) - n_data
@@ -441,8 +435,13 @@ def _plugin_table(y, setup: ACInverseSetup, noise: NoiseModel) -> dict:
     return dict(zip(keys, lls.tolist()))
 
 
-def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel, grid) -> float:
-    """Cheap pilot: the grid value whose best coarse branch fits the data best.
+# the chains' delta prior and the pilot's grid, inside the table's DELTA_RANGE
+DELTA_PRIOR = UniformPrior(*DELTA_RANGE)
+PILOT_GRID = tuple(np.arange(0.025, 0.146, 0.01).tolist())
+
+
+def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel) -> float:
+    """Cheap pilot: the ``PILOT_GRID`` delta whose best branch fits best.
 
     The best entry of the plug-in table over the grid's cells, the first
     in (delta, j) order on ties. Used to initialize the chains away from
@@ -450,7 +449,7 @@ def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel, grid) -> floa
     """
     table = _plugin_table(y, setup, noise)
     cache = setup.cache
-    entries = [(float(delta), j) for delta in np.asarray(grid, dtype=float)
+    entries = [(float(delta), j) for delta in PILOT_GRID
                for j in range(1, len(cache.solutions(delta)) + 1)]
     return max(entries, key=lambda e: table[cache._cell(e[0]), e[1]])[0]
 
@@ -530,16 +529,15 @@ def _mh_chain(log_prior, loglik, n_found, theta, j, step_scales, n_steps, gen,
     return thetas, js, lls, accepted, calls
 
 
-def pm_mcmc(y, delta_prior: UniformPrior, ell_prior, m_particles: int, n_steps: int,
-            rng: RngStream, *, setup: ACInverseSetup, noise: NoiseModel, init,
-            step_scales=(0.003, 0.08), noise_correlation: float = 0.99,
-            estimator=None) -> ChainResult:
+def pm_mcmc(y, ell_prior, m_particles: int, n_steps: int, rng: RngStream, *,
+            setup: ACInverseSetup, noise: NoiseModel, init, step_scales=(0.003, 0.08),
+            noise_correlation: float = 0.99, estimator=None) -> ChainResult:
     """Pseudo-marginal Metropolis over (delta, log lengthscale, j).
 
     ``init`` is the starting (delta, ell, j). The chain is ``_mh_chain``
-    with theta = (delta, log ell) and the importance-sampled likelihood
-    estimate of ``pm_loglik``; ``estimator(delta, ell, j, xi)`` replaces
-    that estimate when given.
+    with theta = (delta, log ell), priors ``DELTA_PRIOR`` and ``ell_prior``
+    and the estimate of ``pm_loglik`` from ``m_particles`` particles;
+    ``estimator(delta, ell, j, xi)`` replaces that estimate when given.
 
     The standard-normal batch behind the estimate is part of the chain
     state and is refreshed through a Crank-Nicolson move with correlation
@@ -556,13 +554,12 @@ def pm_mcmc(y, delta_prior: UniformPrior, ell_prior, m_particles: int, n_steps: 
 
     if estimator is None:
         def estimator(delta, ell, j, xi):
-            return pm_loglik(y, delta, ell, j, m_particles, noise, rng,
-                             setup=setup, xi=xi)
+            return pm_loglik(y, delta, ell, j, noise, setup=setup, xi=xi)
 
     def log_prior(theta):
         delta, lam = theta
         # half-Cauchy density of ell with the log-scale Jacobian
-        return delta_prior.logpdf(delta) + (ell_prior.logpdf(np.exp(lam)) + lam)
+        return DELTA_PRIOR.logpdf(delta) + (ell_prior.logpdf(np.exp(lam)) + lam)
 
     thetas, js, lls, accepted, calls = _mh_chain(
         log_prior,
@@ -574,16 +571,15 @@ def pm_mcmc(y, delta_prior: UniformPrior, ell_prior, m_particles: int, n_steps: 
     return ChainResult(thetas[:, 0], np.exp(thetas[:, 1]), js, lls, accepted, calls)
 
 
-def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *,
-                   setup: ACInverseSetup, noise: NoiseModel, init,
-                   step_scale: float = 0.008) -> ChainResult:
+def ac_plugin_mcmc(y, n_steps: int, rng: RngStream, *, setup: ACInverseSetup,
+                   noise: NoiseModel, init, step_scale: float = 0.008) -> ChainResult:
     """Baseline Metropolis over (delta, j) with the coarse solver plugged in.
 
     ``init`` is the starting (delta, j). The likelihood evaluates the
     coarse solution itself at the data locations with no
     discretisation-error term, so the resulting posterior reflects only
-    the observation noise. The chain is ``_mh_chain`` with theta = (delta,)
-    and this deterministic likelihood; the ell column is NaN.
+    the observation noise. The chain is ``_mh_chain`` with theta = (delta,),
+    prior ``DELTA_PRIOR`` and this deterministic likelihood; ell is NaN.
 
     The likelihood depends on delta only through its cache cell, so the
     chain reads it from the table of ``_plugin_table``.
@@ -594,7 +590,7 @@ def ac_plugin_mcmc(y, delta_prior: UniformPrior, n_steps: int, rng: RngStream, *
         return table[setup.cache._cell(theta[0]), j]
 
     thetas, js, lls, accepted, calls = _mh_chain(
-        lambda theta: delta_prior.logpdf(theta[0]), loglik,
+        lambda theta: DELTA_PRIOR.logpdf(theta[0]), loglik,
         lambda theta: len(setup.cache.solutions(theta[0])),
         (float(init[0]),), int(init[1]), (step_scale,), n_steps, rng.generator(),
     )

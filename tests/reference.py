@@ -346,8 +346,8 @@ def three_call_joint(setup, op, ell: float, noise, sqexp_gram=None):
     return joint
 
 
-def pm_loglik_all_rows(y, delta: float, ell: float, j: int, m_particles: int,
-                       noise, rng, *, setup, xi=None, sqexp_gram=None):
+def pm_loglik_all_rows(y, delta: float, ell: float, j: int, noise, *, setup, xi,
+                       sqexp_gram=None):
     """``pmm.inverse.pm_loglik`` by one triangular solve of the joint factor
     against the stacked right-hand sides [cbrt(-delta z); z / s; boundary;
     y] of all M particles, of which the data rows are the residuals; the
@@ -361,8 +361,8 @@ def pm_loglik_all_rows(y, delta: float, ell: float, j: int, m_particles: int,
     joint = three_call_joint(setup, op, ell, noise, sqexp_gram)
     n_gram = len(joint) - y.size
     factor = chol_jitter(joint)
-    z_draws, log_r = draw_latents(zbar, factor.lower[:n_int, :n_int], m_particles, rng, xi=xi)
-    rhs = np.empty((len(joint), m_particles))
+    z_draws, log_r = draw_latents(zbar, factor.lower[:n_int, :n_int], xi)
+    rhs = np.empty((len(joint), len(xi)))
     rhs[:n_int] = np.cbrt(-delta * z_draws).T
     rhs[n_int:2 * n_int] = z_draws.T / s
     rhs[2 * n_int:n_gram] = setup.design.boundary_rhs[:, None]
@@ -373,13 +373,11 @@ def pm_loglik_all_rows(y, delta: float, ell: float, j: int, m_particles: int,
     return PMEstimate.from_log_weights(logliks - log_r)
 
 
-def draw_latents(zbar, lower, m: int, rng, xi=None):
-    """Batch of Gaussian latent draws ``zbar + lower xi`` with their
-    log-densities under ``N(zbar, lower lower^T)``; ``xi`` is drawn from
-    ``rng`` when not given."""
+def draw_latents(zbar, lower, xi):
+    """Batch of Gaussian latent draws ``zbar + lower xi``, one per row of the
+    standard normals ``xi``, with their log-densities under
+    ``N(zbar, lower lower^T)``."""
     dim = len(lower)
-    if xi is None:
-        xi = rng.generator().standard_normal((m, dim))
     draws = zbar[None, :] + xi @ lower.T
     logdet = 2.0 * np.sum(np.log(np.diag(lower)))
     log_r = -0.5 * (dim * np.log(2.0 * np.pi) + logdet + np.sum(xi**2, axis=1))

@@ -289,12 +289,11 @@ def test_criterion_7_allen_cahn_inverse_coverage():
         for seed in range(5):
             y = truth + sigma * RngStream(seed, 32).generator().standard_normal(len(truth))
             noise = NoiseModel.isotropic(sigma, len(y))
-            prior = UniformPrior(0.02, 0.15)
-            d_init = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
-            chain = pm_mcmc(y, prior, HalfCauchyPrior(1.0), m_particles, n_steps,
+            d_init = plugin_delta_scan(y, setup, noise)
+            chain = pm_mcmc(y, HalfCauchyPrior(1.0), m_particles, n_steps,
                             RngStream(seed, 33), setup=setup, noise=noise,
                             init=(d_init, 0.1, 1))
-            plug = ac_plugin_mcmc(y, prior, n_steps, RngStream(seed, 34),
+            plug = ac_plugin_mcmc(y, n_steps, RngStream(seed, 34),
                                   setup=setup, noise=noise, init=(d_init, 1),
                                   step_scale=0.003)
             lo, hi = np.quantile(chain.delta[burn:], [0.05, 0.95])

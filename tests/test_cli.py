@@ -7,7 +7,16 @@ import pytest
 import pmm.cli
 import pmm.inverse
 import pmm.linalg
-from pmm.cli import POSITIVE, SCHEMAS, ConfigError, _parse_config, _validate, main, run_inverse_1d
+from pmm.cli import (
+    POSITIVE,
+    SCHEMAS,
+    ConfigError,
+    _collect_overrides,
+    _parse_config,
+    _validate,
+    main,
+    run_inverse_1d,
+)
 from pmm.forward import interior_grid_2d
 from pmm.inverse import CoarseSolutionCache
 from pmm.problems import SolveFailed
@@ -81,6 +90,17 @@ class TestConfig:
         cfg = _parse_config("converge", str(cfg_file), {})
         assert cfg["seed"] == 7
         assert cfg["m_list"] == [5, 10]
+
+    @pytest.mark.parametrize("experiment,flag,value", [
+        ("inverse-1d", "sigma", "1e-3"),
+        ("converge", "seed", "-3"),
+        ("converge", "m-list", "5,10"),
+    ])
+    def test_equals_form_matches_space_form(self, experiment, flag, value):
+        # only the key's dashes become underscores, never the value's
+        joined = _parse_config(experiment, None, _collect_overrides([f"--{flag}={value}"]))
+        spaced = _parse_config(experiment, None, _collect_overrides([f"--{flag}", value]))
+        assert joined == spaced != _parse_config(experiment, None, {})
 
     def test_cli_exit_code_on_config_error(self, tmp_path):
         code = main(["converge", "--output-dir", str(tmp_path), "--bogus", "1"])

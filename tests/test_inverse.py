@@ -15,8 +15,10 @@ from pmm.inverse import (
     AllWeightsDegenerate,
     AllZeroMass,
     CoarseSolutionCache,
+    DELTA_PRIOR,
     HalfCauchyPrior,
     NoiseModel,
+    PILOT_GRID,
     PMEstimate,
     SolutionIndexOutOfRange,
     UniformPrior,
@@ -35,7 +37,7 @@ from pmm.inverse import (
 )
 from pmm.kernels import Matern72Kernel, OperatorTag, SqExpKernel, op_gram
 from pmm.linalg import RngStream, chol_jitter, mvn_logpdf
-from pmm.problems import Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
+from pmm.problems import DELTA_RANGE, Poisson1D, ac_deflated_solve, ac_design, generate_data, poisson_exact
 from reference import (
     ac_residual,
     draw_latents,
@@ -48,6 +50,11 @@ from reference import (
     sqexp_gram_three_term,
     three_call_joint,
 )
+
+
+def normals(m: int, n: int, *key) -> np.ndarray:
+    """An (m, n) standard-normal batch from the stream ``RngStream(*key)``."""
+    return RngStream(*key).generator().standard_normal((m, n))
 
 
 @pytest.fixture(scope="module")
@@ -400,7 +407,7 @@ class TestImportanceSampleZ:
         setup, _, noise = ac_context
         _, lower = self.shared_factor(setup, noise, 0.04, 0.2)
         zbar = setup.latent_centre(0.04, 1)
-        z, _ = draw_latents(zbar, 1e-6 * lower, 1, RngStream(1))
+        z, _ = draw_latents(zbar, 1e-6 * lower, normals(1, zbar.size, 1))
         center = -setup.cache.solutions(0.04)[0].interpolate(setup.design.interior_points) ** 3 / 0.04
         np.testing.assert_array_equal(zbar, center)
         assert np.max(np.abs(z[0] - center)) < 1e-4
@@ -410,7 +417,7 @@ class TestImportanceSampleZ:
         _, lower = self.shared_factor(setup, noise, 0.04, 0.2)
         center = setup.latent_centre(0.04, 1)
         expected = mvn_logpdf(center, center, self.k_int(setup, 0.2))
-        _, log_r = draw_latents(center, lower, 1, RngStream(0), xi=np.zeros((1, len(center))))
+        _, log_r = draw_latents(center, lower, np.zeros((1, len(center))))
         assert log_r[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ell", [0.05, 0.1, 0.2])
@@ -421,21 +428,25 @@ class TestImportanceSampleZ:
         factor, lower = self.shared_factor(setup, noise, 0.04, ell)
         assert factor.jitter_used == 0.0
         zbar = setup.latent_centre(0.04, 2)
-        z, log_r = draw_latents(zbar, lower, 6, RngStream(3, 1))
+        z, log_r = draw_latents(zbar, lower, normals(6, zbar.size, 3, 1))
         k_int = self.k_int(setup, ell)
         for z_i, lr in zip(z, log_r):
             assert lr == pytest.approx(mvn_logpdf(z_i, zbar, k_int), rel=1e-12)
 
     def test_reproducible(self, ac_context):
+        # the batch is chain state: one batch gives one estimate and stays as it was
         setup, y, noise = ac_context
-        a = pm_loglik(y, 0.04, 0.2, 2, 4, noise, RngStream(4, 7), setup=setup)
-        b = pm_loglik(y, 0.04, 0.2, 2, 4, noise, RngStream(4, 7), setup=setup)
+        xi = normals(4, 25, 4, 7)
+        kept = xi.copy()
+        a = pm_loglik(y, 0.04, 0.2, 2, noise, setup=setup, xi=xi)
+        b = pm_loglik(y, 0.04, 0.2, 2, noise, setup=setup, xi=xi)
         np.testing.assert_array_equal(a.log_weights, b.log_weights)
+        np.testing.assert_array_equal(xi, kept)
 
     def test_index_out_of_range(self, ac_context):
         setup, y, noise = ac_context
         with pytest.raises(SolutionIndexOutOfRange):
-            pm_loglik(y, 0.04, 0.2, 4, 4, noise, RngStream(0), setup=setup)
+            pm_loglik(y, 0.04, 0.2, 4, noise, setup=setup, xi=np.zeros((4, 25)))
 
 
 class TestOneGramPath:
@@ -476,7 +487,7 @@ class TestOneGramPath:
         post.cov(np.linspace(0.0, 1.0, 7))
         assert sorted(shapes) == [(7, 7), (7, 10)]  # the prior and the cross-covariance
         shapes.clear()
-        pm_loglik(y, 0.04, 0.1, 1, 4, noise, RngStream(0), setup=setup)
+        pm_loglik(y, 0.04, 0.1, 1, noise, setup=setup, xi=np.zeros((4, 25)))
         assert setup._r2.shape in shapes
 
 
@@ -514,9 +525,9 @@ class TestDataRowSolve:
         setup, (_, y, noise) = designs[per_axis], ac_context
         joint = _joint_matrix(setup, _operator_rows(delta, ell)[0], ell, noise)
         assert chol_jitter(joint).jitter_used == 0.0
-        xi = RngStream(21, j).generator().standard_normal((16, per_axis**2))
-        got = pm_loglik(y, delta, ell, j, 16, noise, RngStream(0), setup=setup, xi=xi)
-        want = pm_loglik_all_rows(y, delta, ell, j, 16, noise, RngStream(0), setup=setup, xi=xi)
+        xi = normals(16, per_axis**2, 21, j)
+        got = pm_loglik(y, delta, ell, j, noise, setup=setup, xi=xi)
+        want = pm_loglik_all_rows(y, delta, ell, j, noise, setup=setup, xi=xi)
         np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-10, atol=0)
         assert got.log_estimate == pytest.approx(want.log_estimate, rel=1e-10)
 
@@ -524,14 +535,11 @@ class TestDataRowSolve:
         setup, y, noise = ac_context
 
         def oracle(delta, ell, j, xi):
-            return pm_loglik_all_rows(y, delta, ell, j, 8, noise, RngStream(0), setup=setup,
-                                      xi=xi)
+            return pm_loglik_all_rows(y, delta, ell, j, noise, setup=setup, xi=xi)
 
         kwargs = dict(setup=setup, noise=noise, init=(0.04, 0.1, 1))
-        a = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 8, 300,
-                    RngStream(14, 4), **kwargs)
-        b = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 8, 300,
-                    RngStream(14, 4), estimator=oracle, **kwargs)
+        a = pm_mcmc(y, HalfCauchyPrior(1.0), 8, 300, RngStream(14, 4), **kwargs)
+        b = pm_mcmc(y, HalfCauchyPrior(1.0), 8, 300, RngStream(14, 4), estimator=oracle, **kwargs)
         for name in ("delta", "ell", "j", "accepted"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
         np.testing.assert_allclose(a.log_estimate, b.log_estimate, rtol=1e-10, atol=0)
@@ -549,7 +557,7 @@ class TestDataRowSolve:
         monkeypatch.setattr(pmm.inverse, "dtrtrs", recording)
         n = len(setup._r2)
         for calls in (1, 2):
-            pm_loglik(y, 0.04, 0.1, 1, m, noise, RngStream(calls), setup=setup)
+            pm_loglik(y, 0.04, 0.1, 1, noise, setup=setup, xi=normals(m, 25, calls))
             assert shapes == [((n, n), (n, len(y)))] * calls
 
 
@@ -562,14 +570,13 @@ class TestThreeTermOracle:
         setup, (_, y, noise) = designs[per_axis], ac_context
 
         def oracle(delta, ell, j, xi):
-            return pm_loglik_all_rows(y, delta, ell, j, m, noise, RngStream(0), setup=setup,
-                                      xi=xi, sqexp_gram=sqexp_gram_three_term)
+            return pm_loglik_all_rows(y, delta, ell, j, noise, setup=setup, xi=xi,
+                                      sqexp_gram=sqexp_gram_three_term)
 
         kwargs = dict(setup=setup, noise=noise, init=(0.04, 0.1, 1))
-        a = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), m, n_steps,
-                    RngStream(27, per_axis), **kwargs)
-        b = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), m, n_steps,
-                    RngStream(27, per_axis), estimator=oracle, **kwargs)
+        a = pm_mcmc(y, HalfCauchyPrior(1.0), m, n_steps, RngStream(27, per_axis), **kwargs)
+        b = pm_mcmc(y, HalfCauchyPrior(1.0), m, n_steps, RngStream(27, per_axis),
+                    estimator=oracle, **kwargs)
         for name in ("delta", "ell", "j", "accepted"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
         np.testing.assert_allclose(a.log_estimate, b.log_estimate, rtol=1e-10, atol=0)
@@ -577,10 +584,11 @@ class TestThreeTermOracle:
 
     @pytest.mark.parametrize("per_axis", [5, 8])
     def test_drawn_batch_matches_oracle(self, ac_context, designs, per_axis):
-        # without xi, both draw one batch from the same generator call
+        # one batch of 16 particles, outside any chain
         setup, (_, y, noise) = designs[per_axis], ac_context
-        got = pm_loglik(y, 0.0406, 0.1, 2, 16, noise, RngStream(5, 2), setup=setup)
-        want = pm_loglik_all_rows(y, 0.0406, 0.1, 2, 16, noise, RngStream(5, 2), setup=setup,
+        xi = normals(16, per_axis**2, 5, 2)
+        got = pm_loglik(y, 0.0406, 0.1, 2, noise, setup=setup, xi=xi)
+        want = pm_loglik_all_rows(y, 0.0406, 0.1, 2, noise, setup=setup, xi=xi,
                                   sqexp_gram=sqexp_gram_three_term)
         np.testing.assert_allclose(got.log_weights, want.log_weights, rtol=1e-10, atol=0)
 
@@ -588,22 +596,16 @@ class TestThreeTermOracle:
 class TestPmLoglik:
     def test_single_particle_is_single_weight(self, ac_context):
         setup, y, noise = ac_context
-        est = pm_loglik(y, 0.04, 0.1, 1, 1, noise, RngStream(6), setup=setup)
+        est = pm_loglik(y, 0.04, 0.1, 1, noise, setup=setup, xi=normals(1, 25, 6))
         assert est.m == 1
         assert est.log_estimate == pytest.approx(est.log_weights[0])
 
     def test_weight_count(self, ac_context):
+        # one weight per row of the batch, whatever its number of rows
         setup, y, noise = ac_context
-        est = pm_loglik(y, 0.04, 0.1, 1, 8, noise, RngStream(7), setup=setup)
-        assert est.m == 8
-        assert len(est.log_weights) == 8
-
-    def test_fixed_xi_reproducible(self, ac_context):
-        setup, y, noise = ac_context
-        xi = RngStream(8).generator().standard_normal((4, 25))
-        a = pm_loglik(y, 0.04, 0.1, 1, 4, noise, RngStream(9), setup=setup, xi=xi)
-        b = pm_loglik(y, 0.04, 0.1, 1, 4, noise, RngStream(10), setup=setup, xi=xi)
-        assert a.log_estimate == b.log_estimate
+        est = pm_loglik(y, 0.04, 0.1, 1, noise, setup=setup, xi=normals(7, 25, 7))
+        assert est.m == 7
+        assert len(est.log_weights) == 7
 
     @staticmethod
     def two_factor_estimate(y, delta, ell, j, xi, setup, noise):
@@ -629,8 +631,8 @@ class TestPmLoglik:
         # 0.0406 snaps to the 0.040 cell, so the latent centre must use the
         # actual delta while the branch comes from the cell
         delta = 0.0406
-        xi = RngStream(20, j).generator().standard_normal((8, n_int))
-        got = pm_loglik(y, delta, ell, j, 8, noise, RngStream(0), setup=setup, xi=xi)
+        xi = normals(8, n_int, 20, j)
+        got = pm_loglik(y, delta, ell, j, noise, setup=setup, xi=xi)
         want = self.two_factor_estimate(y, delta, ell, j, xi, setup, noise)
         assert got.log_estimate == pytest.approx(want, rel=1e-10)
 
@@ -657,16 +659,16 @@ class TestPmLoglik:
         noise = NoiseModel.isotropic(0.02, noise_size)
         with pytest.raises(ValueError, match=f"{y_size} data values, 16 data locations, "
                                              f"noise covariance of size {noise_size}"):
-            pm_loglik(y[:y_size], 0.04, 0.1, 1, 4, noise, RngStream(0), setup=setup)
+            pm_loglik(y[:y_size], 0.04, 0.1, 1, noise, setup=setup, xi=np.zeros((4, 25)))
 
-    @pytest.mark.parametrize("shape", [(7, 25), (32, 24)])
+    @pytest.mark.parametrize("shape", [(25,), (0, 25), (32, 24)])
     def test_xi_shape_mismatch_raises(self, ac_context, shape):
-        # unchecked, a short batch would give fewer weights and a narrow one fail in matmul
+        # unchecked, a 1-D batch would read as one particle, an empty one give
+        # no weights and a narrow one fail in matmul
         setup, y, noise = ac_context
-        xi = np.zeros(shape)
-        with pytest.raises(ValueError, match=re.escape(f"xi has shape {shape}, expected "
-                                                       "(m_particles, n_int) = (32, 25)")):
-            pm_loglik(y, 0.04, 0.1, 1, 32, noise, RngStream(0), setup=setup, xi=xi)
+        with pytest.raises(ValueError, match=re.escape(f"xi has shape {shape}, expected one "
+                                                       "or more rows of n_int = 25 columns")):
+            pm_loglik(y, 0.04, 0.1, 1, noise, setup=setup, xi=np.zeros(shape))
 
     def test_one_cell_shares_branch_values(self, ac_context):
         setup, _, _ = ac_context
@@ -680,8 +682,8 @@ class TestPmLoglik:
 class TestPmMcmc:
     def test_prior_support_respected(self, ac_context):
         setup, y, noise = ac_context
-        chain = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 4, 120,
-                        RngStream(10, 1), setup=setup, noise=noise, init=(0.04, 0.1, 1))
+        chain = pm_mcmc(y, HalfCauchyPrior(1.0), 4, 120, RngStream(10, 1), setup=setup,
+                        noise=noise, init=(0.04, 0.1, 1))
         assert np.all(chain.delta > 0.02) and np.all(chain.delta < 0.15)
         assert np.all((chain.j >= 1) & (chain.j <= 3))
 
@@ -693,9 +695,8 @@ class TestPmMcmc:
             calls.append(delta)
             return PMEstimate.from_log_weights(np.array([0.0]))
 
-        chain = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 4, 200,
-                        RngStream(11, 2), setup=setup, noise=noise,
-                        init=(0.04, 0.1, 1), estimator=stub)
+        chain = pm_mcmc(y, HalfCauchyPrior(1.0), 4, 200, RngStream(11, 2), setup=setup,
+                        noise=noise, init=(0.04, 0.1, 1), estimator=stub)
         # one call at init plus one per in-support proposal; retained states
         # are never recomputed
         assert len(calls) == chain.estimator_calls
@@ -715,25 +716,22 @@ class TestPmMcmc:
             return PMEstimate.from_log_weights(np.array([0.0]))
 
         with pytest.raises(FloatingPointError):
-            pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 4, 200,
-                    RngStream(11, 2), setup=setup, noise=noise,
-                    init=(0.04, 0.1, 1), estimator=stub)
+            pm_mcmc(y, HalfCauchyPrior(1.0), 4, 200, RngStream(11, 2), setup=setup,
+                    noise=noise, init=(0.04, 0.1, 1), estimator=stub)
         assert len(calls) == nan_call + 1
 
     def test_reproducible(self, ac_context):
         setup, y, noise = ac_context
         kwargs = dict(setup=setup, noise=noise, init=(0.04, 0.1, 1))
-        a = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 4, 60,
-                    RngStream(12, 3), **kwargs)
-        b = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 4, 60,
-                    RngStream(12, 3), **kwargs)
+        a = pm_mcmc(y, HalfCauchyPrior(1.0), 4, 60, RngStream(12, 3), **kwargs)
+        b = pm_mcmc(y, HalfCauchyPrior(1.0), 4, 60, RngStream(12, 3), **kwargs)
         np.testing.assert_array_equal(a.delta, b.delta)
         np.testing.assert_array_equal(a.log_estimate, b.log_estimate)
 
     def test_rows_format(self, ac_context):
         setup, y, noise = ac_context
-        chain = pm_mcmc(y, UniformPrior(0.02, 0.15), HalfCauchyPrior(1.0), 2, 10,
-                        RngStream(13), setup=setup, noise=noise, init=(0.04, 0.1, 1))
+        chain = pm_mcmc(y, HalfCauchyPrior(1.0), 2, 10, RngStream(13), setup=setup,
+                        noise=noise, init=(0.04, 0.1, 1))
         rows = list(chain.rows())
         assert len(rows) == 10
         assert rows[0][0] == 0
@@ -743,8 +741,7 @@ class TestPmMcmc:
 class TestPluginChain:
     def test_runs_and_respects_support(self, ac_context):
         setup, y, noise = ac_context
-        chain = ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 300, RngStream(14),
-                               setup=setup, noise=noise, init=(0.04, 1))
+        chain = ac_plugin_mcmc(y, 300, RngStream(14), setup=setup, noise=noise, init=(0.04, 1))
         assert np.all(chain.delta > 0.02) and np.all(chain.delta < 0.15)
         assert chain.acceptance_rate > 0.05
 
@@ -753,7 +750,7 @@ class TestPluginChain:
         # posterior over (cell, j) is a finite sum: the cell's width inside
         # the prior support times L(cell, j) / n(cell).
         setup, y, noise = ac_context
-        lo, hi, res = 0.02, 0.15, setup.cache.resolution
+        (lo, hi), res = DELTA_RANGE, setup.cache.resolution
         states, logp = [], []
         for cell in range(10, 76):
             sols = setup.cache.solutions(cell * res)
@@ -765,8 +762,8 @@ class TestPluginChain:
         exact = np.exp(np.array(logp) - max(logp))
         exact /= exact.sum()
 
-        chain = ac_plugin_mcmc(y, UniformPrior(lo, hi), 40_000, RngStream(15), setup=setup,
-                               noise=noise, init=(0.04, 1), step_scale=0.003)
+        chain = ac_plugin_mcmc(y, 40_000, RngStream(15), setup=setup, noise=noise,
+                               init=(0.04, 1), step_scale=0.003)
         index = {state: k for k, state in enumerate(states)}
         labels = np.array([index[int(round(d / res)), j] for d, j in zip(chain.delta, chain.j)])
         freq = np.bincount(labels, minlength=len(states)) / labels.size
@@ -791,8 +788,7 @@ class TestPluginChain:
         truth = cache.solutions(0.04)[0].interpolate(setup.data_locations)
         y = truth + 0.02 * RngStream(3, 32).generator().standard_normal(len(truth))
         noise = NoiseModel.isotropic(0.02, len(y))
-        chain = ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 300, RngStream(16),
-                               setup=setup, noise=noise, init=(0.04, 1))
+        chain = ac_plugin_mcmc(y, 300, RngStream(16), setup=setup, noise=noise, init=(0.04, 1))
         assert len({(setup.cache._cell(d), j) for d, j in zip(chain.delta, chain.j)}) > 5
         table = _plugin_table(y, setup, noise)
         for delta, j, ll in zip(chain.delta, chain.j, chain.log_estimate):
@@ -803,27 +799,31 @@ class TestPluginChain:
 
     def test_pilot_scan_finds_neighborhood(self, ac_context):
         setup, y, noise = ac_context
-        best = plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
+        best = plugin_delta_scan(y, setup, noise)
         assert abs(best - 0.04) < 0.02
 
     def test_pilot_scan_is_first_best_entry(self, ac_context):
         # the scan's oracle: every (delta, j) pair in turn, first strict maximum
         setup, y, noise = ac_context
-        grid = np.arange(0.025, 0.146, 0.01)
         best, best_ll = None, -np.inf
-        for delta in grid:
+        for delta in PILOT_GRID:
             for j in range(1, len(setup.cache.solutions(delta)) + 1):
                 ll = mvn_logpdf(y, setup.branch_values(delta, j)[1], noise.cov)
                 if ll > best_ll:
                     best, best_ll = float(delta), ll
-        assert plugin_delta_scan(y, setup, noise, grid) == best
+        assert plugin_delta_scan(y, setup, noise) == best
 
     def test_pilot_scan_ties_go_to_the_smallest_delta(self, ac_context, monkeypatch):
         setup, y, noise = ac_context
         monkeypatch.setattr(pmm.inverse, "_plugin_table",
                             lambda y, setup, noise: dict.fromkeys(setup._branches, -1.0))
-        grid = np.arange(0.025, 0.146, 0.01)
-        assert plugin_delta_scan(y, setup, noise, grid) == grid[0]
+        assert plugin_delta_scan(y, setup, noise) == PILOT_GRID[0]
+
+    def test_prior_and_pilot_grid_lie_in_the_table(self):
+        # the coarse table answers only inside DELTA_RANGE
+        assert DELTA_PRIOR == UniformPrior(*DELTA_RANGE)
+        assert DELTA_RANGE[0] < min(PILOT_GRID) and max(PILOT_GRID) < DELTA_RANGE[1]
+        np.testing.assert_allclose(np.diff(PILOT_GRID), 0.01, rtol=1e-12)
 
     def test_table_has_one_entry_per_branch(self, ac_context):
         setup, y, noise = ac_context
@@ -842,10 +842,9 @@ class TestPluginChain:
             return chol(m)
 
         monkeypatch.setattr(pmm.linalg, "chol_jitter", counted)
-        plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
+        plugin_delta_scan(y, setup, noise)
         assert len(calls) == 1
-        ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 50, RngStream(17), setup=setup,
-                       noise=noise, init=(0.04, 1))
+        ac_plugin_mcmc(y, 50, RngStream(17), setup=setup, noise=noise, init=(0.04, 1))
         assert len(calls) == 2
 
     def test_nan_entry_raises_before_either_chain(self, ac_context, monkeypatch):
@@ -858,10 +857,9 @@ class TestPluginChain:
         chains = []
         monkeypatch.setattr(pmm.inverse, "_mh_chain", lambda *args: chains.append(args))
         with pytest.raises(FloatingPointError, match=re.escape(str(key))):
-            plugin_delta_scan(y, setup, noise, np.arange(0.025, 0.146, 0.01))
+            plugin_delta_scan(y, setup, noise)
         with pytest.raises(FloatingPointError, match="NaN"):
-            ac_plugin_mcmc(y, UniformPrior(0.02, 0.15), 10, RngStream(18), setup=setup,
-                           noise=noise, init=(0.04, 1))
+            ac_plugin_mcmc(y, 10, RngStream(18), setup=setup, noise=noise, init=(0.04, 1))
         assert chains == []
 
 

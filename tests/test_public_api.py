@@ -1,7 +1,7 @@
-"""The package's public surface. Tier-1 runs no demo, so these checks stand
-in for them: every name a demo imports from ``pmm`` resolves, ``pmm.__all__``
-lists only names that exist, and importing the CLI leaves scipy's
-interpolate, spatial and sparse subpackages unloaded."""
+"""The package's public surface: every demo runs to exit 0, every name a
+demo imports from ``pmm`` resolves, ``pmm.__all__`` lists only names that
+exist, and importing the CLI leaves scipy's interpolate, spatial and sparse
+subpackages unloaded."""
 
 import ast
 import importlib
@@ -15,13 +15,22 @@ import pytest
 import pmm
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_with_src(args, **kwargs):
+    """``subprocess.run`` of the interpreter with ``src`` on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300, **kwargs)
 
 
 def demo_imports():
     """(demo file, module, name) for every ``from pmm... import name`` in
     the demos; (demo file, module, None) for a plain ``import pmm...``."""
     found = []
-    for path in sorted((ROOT / "demos").glob("*.py")):
+    for path in DEMOS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pmm":
                 found += [(path.name, node.module, alias.name) for alias in node.names]
@@ -32,13 +41,16 @@ def demo_imports():
 
 
 def test_cli_import_leaves_interpolate_and_spatial_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = ("import sys, pmm.cli; print(','.join(m for m in "
             "('scipy.interpolate', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == ""
+    assert run_with_src(["-c", code], check=True).stdout.strip() == ""
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(tmp_path, demo):
+    # from an empty directory, so a demo that writes files leaves none in the repo
+    proc = run_with_src([str(demo)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_all_names_resolve():
