@@ -607,6 +607,16 @@ class TestPmLoglik:
         assert est.m == 7
         assert len(est.log_weights) == 7
 
+    def test_fixed_xi_reproducible(self, ac_context):
+        # the estimate is a function of the batch alone: a call at another
+        # state, with another batch, in between leaves no trace on it
+        setup, y, noise = ac_context
+        xi = normals(4, 25, 8)
+        a = pm_loglik(y, 0.04, 0.1, 1, noise, setup=setup, xi=xi)
+        pm_loglik(y, 0.09, 0.2, 3, noise, setup=setup, xi=normals(4, 25, 9))
+        b = pm_loglik(y, 0.04, 0.1, 1, noise, setup=setup, xi=xi.copy())
+        assert a.log_estimate == b.log_estimate
+
     @staticmethod
     def two_factor_estimate(y, delta, ell, j, xi, setup, noise):
         """The estimate through the public forward solver: one factor for the
