@@ -250,6 +250,8 @@ def _validate(experiment: str, cfg: dict) -> None:
         raise ConfigError(f"design must be 'uniform' or 'nested', got {cfg['design']!r}")
     if "m_list" in cfg and any(b <= a for a, b in zip(cfg["m_list"], cfg["m_list"][1:])):
         raise ConfigError("m_list must be strictly increasing")
+    if "m_values" in cfg and len(set(cfg["m_values"])) < len(cfg["m_values"]):
+        raise ConfigError(f"m_values must not repeat an entry, got {cfg['m_values']!r}")
     if experiment == "inverse-1d":
         if not 0.0 <= cfg["prior_lo"] < cfg["prior_hi"]:
             raise ConfigError("need 0 <= prior_lo < prior_hi")
@@ -324,7 +326,7 @@ def run_forward_demo(cfg: dict, out_dir: str, stage_s: dict) -> list:
     with _stage("forward solve", stage_s):
         for m in cfg["m_values"]:
             post = solve_forward(problem.blocks(m, design=cfg["design"]), kernel)
-            per_m[m] = (post.mean(grid), np.diag(post.cov(grid)).copy(), post)
+            per_m[m] = (post.mean(grid), post.var(grid), post)
     header = ["x"]
     cols = [grid]
     for m in cfg["m_values"]:

@@ -509,8 +509,10 @@ def _mh_chain(log_prior, loglik, n_found, theta, j, step_scales, n_steps, gen,
             n_prop = n_found(theta_prop)
             j_prop = int(gen.integers(1, n_prop + 1)) if redraw else j
             if j_prop <= n_prop:
-                eps = gen.standard_normal(noise_shape)
-                xi_prop = rho * xi + np.sqrt(1.0 - rho**2) * eps
+                xi_prop = xi
+                if xi.size:  # an empty batch (a deterministic likelihood) stays empty
+                    eps = gen.standard_normal(noise_shape)
+                    xi_prop = rho * xi + np.sqrt(1.0 - rho**2) * eps
                 ll_prop = checked(theta_prop, j_prop, xi_prop)
                 calls += 1
                 lp_prop -= np.log(n_prop)

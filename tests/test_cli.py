@@ -17,7 +17,7 @@ from pmm.cli import (
     main,
     run_inverse_1d,
 )
-from pmm.forward import interior_grid_2d
+from pmm.forward import ForwardPosterior, interior_grid_2d
 from pmm.inverse import CoarseSolutionCache
 from pmm.problems import SolveFailed
 
@@ -109,6 +109,7 @@ class TestConfig:
     @pytest.mark.parametrize("experiment,args", [
         ("forward-demo", ["--m_values", "0"]),
         ("forward-demo", ["--m_values", ""]),
+        ("forward-demo", ["--m_values", "10,10"]),
         ("converge", ["--m_list", ""]),
         ("converge", ["--m_list", "10,5"]),
         ("converge", ["--m_list", "5,5"]),
@@ -161,6 +162,16 @@ class TestForwardDemo:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["experiment"] == "forward-demo"
         assert manifest["config"]["eval_points"] == 64
+
+    def test_covariance_formed_only_for_sampling(self, tmp_path, monkeypatch):
+        # the var_m* columns come from ForwardPosterior.var; only sample_paths
+        # needs the eval_points-square matrix
+        calls = []
+        cov = ForwardPosterior.cov
+        monkeypatch.setattr(ForwardPosterior, "cov",
+                            lambda self, X: calls.append(len(X)) or cov(self, X))
+        assert main(["forward-demo", "--output-dir", str(tmp_path), "--eval_points", "64"]) == 0
+        assert calls == [64]
 
     def test_seed_reproducibility(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

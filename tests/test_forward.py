@@ -4,6 +4,7 @@ import pytest
 from pmm import kernels
 from pmm.forward import (
     ConvergenceRow,
+    ForwardPosterior,
     ObservationBlock,
     assemble_gram,
     boundary_points_1d,
@@ -190,6 +191,59 @@ class TestPosteriorCov:
         np.testing.assert_array_equal(cov, cov.T)
         f = chol_jitter(cov)
         assert f.jitter_used <= 1e-6  # prior variance is 1
+
+
+class TestPosteriorVar:
+    # (kernel, design, m, whether the equilibrated Gram needs jitter)
+    @pytest.mark.parametrize("kernel,design,m,jittered", [
+        (SqExpKernel(0.2), "uniform", 10, False),
+        (SqExpKernel(0.2), "nested", 10, False),
+        (SqExpKernel(0.2), "uniform", 40, True),
+        (SqExpKernel(0.2), "nested", 40, True),
+        (Matern72Kernel(0.2), "uniform", 10, False),
+        (Matern72Kernel(0.2), "nested", 10, False),
+        (Matern72Kernel(0.2), "uniform", 40, False),
+        (Matern72Kernel(0.2), "nested", 40, False),
+    ])
+    def test_matches_cov_diagonal_1d(self, kernel, design, m, jittered):
+        post = solve_forward(Poisson1D().blocks(m, design=design), kernel)
+        assert (post.gram_factor.jitter_used > 0.0) == jittered
+        grid = np.linspace(0.0, 1.0, 512)
+        var = post.var(grid)
+        np.testing.assert_allclose(var, np.diag(post.cov(grid)), rtol=0.0, atol=1e-15)
+        assert var.min() >= 0.0
+
+    def test_matches_cov_diagonal_2d(self):
+        blocks = [
+            ObservationBlock(NL, interior_grid_2d(4), np.ones(16)),
+            ObservationBlock(BT, edge_points_2d(4), np.zeros(16)),
+        ]
+        post = solve_forward(blocks, SqExpKernel(0.3, dim=2))
+        # random points plus the observed edge points, where the variance is zero
+        pts = np.vstack([np.random.default_rng(0).uniform(0.0, 1.0, (200, 2)),
+                         edge_points_2d(4)])
+        var = post.var(pts)
+        np.testing.assert_allclose(var, np.diag(post.cov(pts)), rtol=0.0, atol=1e-15)
+        assert var.min() >= 0.0
+
+    def test_convergence_trace_matches_cov_trace(self):
+        # the converge experiment's defaults
+        problem, kernel = Poisson1D(), SqExpKernel(0.1)
+        grid = np.linspace(0.0, 1.0, 512)
+        m_list = [5, 10, 20, 40, 80]
+        rows = convergence_experiment(problem, kernel, m_list, grid)
+        for row, m in zip(rows, m_list):
+            cov = solve_forward(problem.blocks(m, design="nested"), kernel).cov(grid)
+            assert row.cov_trace == pytest.approx(np.trace(cov), rel=1e-7, abs=0.0)
+
+    def test_convergence_experiment_forms_no_covariance(self, monkeypatch):
+        calls = []
+        cov = ForwardPosterior.cov
+        monkeypatch.setattr(ForwardPosterior, "cov",
+                            lambda self, X: calls.append(len(X)) or cov(self, X))
+        convergence_experiment(Poisson1D(), SqExpKernel(0.1), [5, 10, 20],
+                               np.linspace(0.0, 1.0, 64))
+        assert calls == []
 
 
 class TestSamplePaths:
