@@ -109,7 +109,6 @@ class TestConfig:
     @pytest.mark.parametrize("experiment,args", [
         ("forward-demo", ["--m_values", "0"]),
         ("forward-demo", ["--m_values", ""]),
-        ("forward-demo", ["--m_values", "10,10"]),
         ("converge", ["--m_list", ""]),
         ("converge", ["--m_list", "10,5"]),
         ("converge", ["--m_list", "5,5"]),
@@ -137,6 +136,7 @@ class TestConfig:
         ("allen-cahn", ["--ell_prior_scale", "0"]),
         ("allen-cahn", ["--n_steps", "0", "--burn_in", "-1"]),
         ("allen-cahn", ["--n_steps", "20", "--burn_in", "-5"]),
+        ("forward-demo", ["--m_values", "10,10"]),
     ])
     def test_out_of_range_value_rejected_before_any_solve(self, tmp_path, experiment, args):
         out = tmp_path / "out"
