@@ -186,7 +186,7 @@ METADATA_NOTES = {
         "noise_sigma": "artifact choice, not pinned by the problem statement",
         "chain": "correlated pseudo-marginal (noise_correlation), pilot-initialized",
         "delta_prior": f"uniform on {DELTA_RANGE}, the range of the coarse solution table",
-        "pilot_grid": "both chains start from the best plug-in fit among delta = "
+        "pilot_grid": "the pseudo-marginal chain starts from the best plug-in fit among delta = "
                       + ", ".join(f"{d:g}" for d in PILOT_GRID),
         "data_locations": "regular interior lattice, artifact choice",
         "data_source": "branch data_branch at delta0 from one continuation step below "
@@ -195,8 +195,11 @@ METADATA_NOTES = {
         "latent_prior": "improper flat prior; constant cancels in acceptance ratios",
         "identity_observation_points": "interior design points",
         "solutions_files": "the coarse branches of delta0's cell in the solution table",
-        "burn_in": "recorded for summaries only; both chain CSVs hold every step",
-        "coarse_solutions": "one downward continuation sweep over [0.02, 0.15] at "
+        "burn_in": "recorded for summaries of chain.csv only, which holds every step; "
+                   "chain_plugin.csv holds independent draws",
+        "plugin_sampler": "exact i.i.d. draws: (cell, j) by (cell width in DELTA_RANGE) * "
+                          "exp(loglik) / (branches in cell), then delta uniform on that width",
+        "coarse_solutions": f"one downward continuation sweep over {list(DELTA_RANGE)} at "
                             "cache_resolution, each cell seeded by the secant "
                             "predictor 2u(k+1) - u(k+2) of the two cells above, "
                             "independent of seed and data",
@@ -420,10 +423,7 @@ def run_allen_cahn(cfg: dict, out_dir: str, stage_s: dict) -> list:
 
     with _stage("plug-in baseline chain", stage_s):
         plug = ac_plugin_mcmc(
-            y, cfg["n_steps"], RngStream(cfg["seed"], 34),
-            setup=setup, noise=noise, step_scale=cfg["delta_step"],
-            init=(init_delta, 1),
-        )
+            y, cfg["n_steps"], RngStream(cfg["seed"], 34), setup=setup, noise=noise)
     files.append(_write_csv(out_dir, "chain_plugin.csv", plug.FIELDS, plug.rows()))
     return files
 

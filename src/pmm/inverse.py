@@ -435,7 +435,7 @@ def _plugin_table(y, setup: ACInverseSetup, noise: NoiseModel) -> dict:
     return dict(zip(keys, lls.tolist()))
 
 
-# the chains' delta prior and the pilot's grid, inside the table's DELTA_RANGE
+# the delta prior of both posteriors and the pilot's grid, inside the table's DELTA_RANGE
 DELTA_PRIOR = UniformPrior(*DELTA_RANGE)
 PILOT_GRID = tuple(np.arange(0.025, 0.146, 0.01).tolist())
 
@@ -444,8 +444,8 @@ def plugin_delta_scan(y, setup: ACInverseSetup, noise: NoiseModel) -> float:
     """Cheap pilot: the ``PILOT_GRID`` delta whose best branch fits best.
 
     The best entry of the plug-in table over the grid's cells, the first
-    in (delta, j) order on ties. Used to initialize the chains away from
-    the prior tails.
+    in (delta, j) order on ties. Used to initialize the pseudo-marginal
+    chain away from the prior tails.
     """
     table = _plugin_table(y, setup, noise)
     cache = setup.cache
@@ -458,7 +458,7 @@ J_REPROPOSAL = 0.2  # probability that a step also redraws the solution index
 
 
 def _mh_chain(log_prior, loglik, n_found, theta, j, step_scales, n_steps, gen,
-              noise_shape=(0,), noise_correlation=0.0):
+              noise_shape, noise_correlation):
     """Metropolis-Hastings over (theta, j) that keeps the retained likelihood.
 
     The walk is Gaussian in ``theta`` with per-coordinate ``step_scales``;
@@ -509,10 +509,7 @@ def _mh_chain(log_prior, loglik, n_found, theta, j, step_scales, n_steps, gen,
             n_prop = n_found(theta_prop)
             j_prop = int(gen.integers(1, n_prop + 1)) if redraw else j
             if j_prop <= n_prop:
-                xi_prop = xi
-                if xi.size:  # an empty batch (a deterministic likelihood) stays empty
-                    eps = gen.standard_normal(noise_shape)
-                    xi_prop = rho * xi + np.sqrt(1.0 - rho**2) * eps
+                xi_prop = rho * xi + np.sqrt(1.0 - rho**2) * gen.standard_normal(noise_shape)
                 ll_prop = checked(theta_prop, j_prop, xi_prop)
                 calls += 1
                 lp_prop -= np.log(n_prop)
@@ -551,6 +548,8 @@ def pm_mcmc(y, ell_prior, m_particles: int, n_steps: int, rng: RngStream, *,
     correlation to zero to recover the independent-noise sampler.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if not 0.0 <= noise_correlation < 1.0:
         raise ValueError("noise_correlation must lie in [0, 1)")
 
@@ -574,26 +573,27 @@ def pm_mcmc(y, ell_prior, m_particles: int, n_steps: int, rng: RngStream, *,
 
 
 def ac_plugin_mcmc(y, n_steps: int, rng: RngStream, *, setup: ACInverseSetup,
-                   noise: NoiseModel, init, step_scale: float = 0.008) -> ChainResult:
-    """Baseline Metropolis over (delta, j) with the coarse solver plugged in.
+                   noise: NoiseModel) -> ChainResult:
+    """``n_steps`` independent draws over (delta, j) from the exact posterior
+    of the plug-in likelihood, which takes the coarse solution for the truth.
 
-    ``init`` is the starting (delta, j). The likelihood evaluates the
-    coarse solution itself at the data locations with no
-    discretisation-error term, so the resulting posterior reflects only
-    the observation noise. The chain is ``_mh_chain`` with theta = (delta,),
-    prior ``DELTA_PRIOR`` and this deterministic likelihood; ell is NaN.
-
-    The likelihood depends on delta only through its cache cell, so the
-    chain reads it from the table of ``_plugin_table``.
+    Under ``DELTA_PRIOR`` and j uniform over a cell's branches, it is
+    constant on each (cell, j) entry of ``_plugin_table``, with mass
+    ``|cell ∩ DELTA_RANGE| exp(ll) / n(cell)``. A draw picks an entry by
+    mass, then delta uniformly on the cell's slice of ``DELTA_RANGE``;
+    ``log_estimate`` is the entry's ``ll``, ``ell`` is NaN and every draw
+    counts as accepted.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     table = _plugin_table(y, setup, noise)
-
-    def loglik(theta, j, xi):
-        return table[setup.cache._cell(theta[0]), j]
-
-    thetas, js, lls, accepted, calls = _mh_chain(
-        lambda theta: DELTA_PRIOR.logpdf(theta[0]), loglik,
-        lambda theta: len(setup.cache.solutions(theta[0])),
-        (float(init[0]),), int(init[1]), (step_scale,), n_steps, rng.generator(),
-    )
-    return ChainResult(thetas[:, 0], np.full(n_steps, np.nan), js, lls, accepted, calls)
+    (lo, hi), res = DELTA_RANGE, setup.cache.resolution
+    cells, js = np.array(list(table)).T
+    left, right = np.maximum(lo, (cells - 0.5) * res), np.minimum(hi, (cells + 0.5) * res)
+    lls = np.array(list(table.values()))
+    n_found = [len(setup.cache._store[cell]) for cell in cells]
+    log_mass = np.log(right - left) - np.log(n_found) + lls
+    gen = rng.generator()
+    k = gen.choice(lls.size, size=n_steps, p=np.exp(log_mass - np.logaddexp.reduce(log_mass)))
+    return ChainResult(gen.uniform(left[k], right[k]), np.full(n_steps, np.nan), js[k],
+                       lls[k], np.ones(n_steps, dtype=bool))

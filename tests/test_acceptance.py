@@ -293,11 +293,10 @@ def test_criterion_7_allen_cahn_inverse_coverage():
             chain = pm_mcmc(y, HalfCauchyPrior(1.0), m_particles, n_steps,
                             RngStream(seed, 33), setup=setup, noise=noise,
                             init=(d_init, 0.1, 1))
-            plug = ac_plugin_mcmc(y, n_steps, RngStream(seed, 34),
-                                  setup=setup, noise=noise, init=(d_init, 1),
-                                  step_scale=0.003)
+            plug = ac_plugin_mcmc(y, n_steps, RngStream(seed, 34), setup=setup, noise=noise)
             lo, hi = np.quantile(chain.delta[burn:], [0.05, 0.95])
-            lop, hip = np.quantile(plug.delta[burn:], [0.05, 0.95])
+            # the plug-in draws are independent, so none is burn-in
+            lop, hip = np.quantile(plug.delta, [0.05, 0.95])
             covered = lo <= delta0 <= hi
             wider = (hi - lo) >= (hip - lop)
             results.append((covered, wider, hi - lo, hip - lop, chain.acceptance_rate))

@@ -296,7 +296,7 @@ def rw_metropolis(logtarget, init, step_scales, n_steps, rng):
     the acceptance rate."""
     thetas, _, _, accepted, _ = _mh_chain(
         lambda theta: 0.0, lambda theta, j, xi: logtarget(theta), lambda theta: 1,
-        init, 1, step_scales, n_steps, rng.generator())
+        init, 1, step_scales, n_steps, rng.generator(), (0,), 0.0)
     return thetas, accepted.mean()
 
 
@@ -738,6 +738,20 @@ class TestPmMcmc:
         np.testing.assert_array_equal(a.delta, b.delta)
         np.testing.assert_array_equal(a.log_estimate, b.log_estimate)
 
+    def test_no_steps_raises(self, ac_context):
+        setup, y, noise = ac_context
+        with pytest.raises(ValueError, match="n_steps"):
+            pm_mcmc(y, HalfCauchyPrior(1.0), 2, 0, RngStream(13), setup=setup,
+                    noise=noise, init=(0.04, 0.1, 1))
+
+    def test_empty_noise_draw_reads_no_bits(self):
+        # _mh_chain refreshes the noise batch on every evaluated proposal,
+        # an empty one included; that must leave the generator where it was
+        a, b = RngStream(20).generator(), RngStream(20).generator()
+        assert a.standard_normal((0,)).shape == (0,)
+        np.testing.assert_array_equal(a.standard_normal(4), b.standard_normal(4))
+        np.testing.assert_array_equal(a.uniform(size=2), b.uniform(size=2))
+
     def test_rows_format(self, ac_context):
         setup, y, noise = ac_context
         chain = pm_mcmc(y, HalfCauchyPrior(1.0), 2, 10, RngStream(13), setup=setup,
@@ -751,9 +765,14 @@ class TestPmMcmc:
 class TestPluginChain:
     def test_runs_and_respects_support(self, ac_context):
         setup, y, noise = ac_context
-        chain = ac_plugin_mcmc(y, 300, RngStream(14), setup=setup, noise=noise, init=(0.04, 1))
+        chain = ac_plugin_mcmc(y, 300, RngStream(14), setup=setup, noise=noise)
         assert np.all(chain.delta > 0.02) and np.all(chain.delta < 0.15)
         assert chain.acceptance_rate > 0.05
+
+    def test_no_draws_raises(self, ac_context):
+        setup, y, noise = ac_context
+        with pytest.raises(ValueError, match="n_steps"):
+            ac_plugin_mcmc(y, 0, RngStream(14), setup=setup, noise=noise)
 
     def test_exact_target(self, ac_context):
         # The plug-in likelihood is constant on each cache cell, so the exact
@@ -772,20 +791,39 @@ class TestPluginChain:
         exact = np.exp(np.array(logp) - max(logp))
         exact /= exact.sum()
 
-        chain = ac_plugin_mcmc(y, 40_000, RngStream(15), setup=setup, noise=noise,
-                               init=(0.04, 1), step_scale=0.003)
+        n = 40_000
+        draws = ac_plugin_mcmc(y, n, RngStream(15), setup=setup, noise=noise)
         index = {state: k for k, state in enumerate(states)}
-        labels = np.array([index[int(round(d / res)), j] for d, j in zip(chain.delta, chain.j)])
-        freq = np.bincount(labels, minlength=len(states)) / labels.size
+        labels = np.array([index[int(round(d / res)), j] for d, j in zip(draws.delta, draws.j)])
+        freq = np.bincount(labels, minlength=len(states)) / n
         tv = 0.5 * np.abs(freq - exact).sum()
-        # batch means give each frequency's Monte Carlo standard error; the
-        # bound is three times the total-variation distance those errors
-        # would make if every state were off by one standard error
-        batches = np.array([np.bincount(b, minlength=len(states)) / b.size
-                            for b in np.array_split(labels, 20)])
-        se = batches.std(axis=0, ddof=1) / np.sqrt(len(batches))
-        bound = 3.0 * 0.5 * se.sum()
+        # the draws are independent, so each frequency has the binomial
+        # standard error; the bound is three times the total-variation
+        # distance those errors would make if every state were off by one
+        bound = 3.0 * 0.5 * np.sqrt(exact * (1.0 - exact) / n).sum()
         assert tv < bound, f"TV {tv:.4f} from the exact target, bound {bound:.4f}"
+
+    def test_draws_lie_in_their_cells_slice(self, ac_context, monkeypatch):
+        # a nearly flat table makes delta nearly uniform on DELTA_RANGE, so
+        # the end cells, clipped to half a cell, take half an inner cell's
+        # share; each entry's distinct value names the entry a draw came
+        # from, and its delta must lie in that cell's slice
+        setup, y, noise = ac_context
+        (lo, hi), res = DELTA_RANGE, setup.cache.resolution
+        table = {key: 1e-9 * k for k, key in enumerate(setup._branches)}
+        monkeypatch.setattr(pmm.inverse, "_plugin_table", lambda y, setup, noise: table)
+        n = 20_000
+        draws = ac_plugin_mcmc(y, n, RngStream(19), setup=setup, noise=noise)
+        entry_of = {ll: key for key, ll in table.items()}
+        cells = []
+        for delta, j, ll in zip(draws.delta, draws.j, draws.log_estimate):
+            cell, j_entry = entry_of[ll]
+            assert j == j_entry
+            assert max(lo, (cell - 0.5) * res) <= delta <= min(hi, (cell + 0.5) * res)
+            cells.append(cell)
+        for end in (round(lo / res), round(hi / res)):
+            expected = n * 0.5 * res / (hi - lo)
+            assert abs(cells.count(end) - expected) < 4.0 * np.sqrt(expected)
 
     def test_table_values_equal_direct_loglik(self, ac_context):
         # the chain reads its likelihood from a per-(cell, j) table; each
@@ -798,7 +836,7 @@ class TestPluginChain:
         truth = cache.solutions(0.04)[0].interpolate(setup.data_locations)
         y = truth + 0.02 * RngStream(3, 32).generator().standard_normal(len(truth))
         noise = NoiseModel.isotropic(0.02, len(y))
-        chain = ac_plugin_mcmc(y, 300, RngStream(16), setup=setup, noise=noise, init=(0.04, 1))
+        chain = ac_plugin_mcmc(y, 300, RngStream(16), setup=setup, noise=noise)
         assert len({(setup.cache._cell(d), j) for d, j in zip(chain.delta, chain.j)}) > 5
         table = _plugin_table(y, setup, noise)
         for delta, j, ll in zip(chain.delta, chain.j, chain.log_estimate):
@@ -854,7 +892,7 @@ class TestPluginChain:
         monkeypatch.setattr(pmm.linalg, "chol_jitter", counted)
         plugin_delta_scan(y, setup, noise)
         assert len(calls) == 1
-        ac_plugin_mcmc(y, 50, RngStream(17), setup=setup, noise=noise, init=(0.04, 1))
+        ac_plugin_mcmc(y, 50, RngStream(17), setup=setup, noise=noise)
         assert len(calls) == 2
 
     def test_nan_entry_raises_before_either_chain(self, ac_context, monkeypatch):
@@ -869,7 +907,7 @@ class TestPluginChain:
         with pytest.raises(FloatingPointError, match=re.escape(str(key))):
             plugin_delta_scan(y, setup, noise)
         with pytest.raises(FloatingPointError, match="NaN"):
-            ac_plugin_mcmc(y, 10, RngStream(18), setup=setup, noise=noise, init=(0.04, 1))
+            ac_plugin_mcmc(y, 10, RngStream(18), setup=setup, noise=noise)
         assert chains == []
 
 
